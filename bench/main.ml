@@ -1256,7 +1256,8 @@ let shard_bench () =
   done;
   (try Unix.kill (Sw_tuning.Shard.pid victim) Sys.sigkill with Unix.Unix_error _ -> ());
   let killed =
-    match Sw_tuning.Shard.coordinate [ victim ] with Ok _ -> false | Error _ -> true
+    (Sw_tuning.Shard.supervise ~max_restarts:0 [ victim ]).Sw_tuning.Shard.health
+    <> Sw_tuning.Shard.Completed
   in
   let lines_at_kill = count_lines (shard_journal 0) in
   Printf.printf "killed worker 0 (mid-run: %b) with %d journal lines; rerunning ...\n%!" killed

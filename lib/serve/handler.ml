@@ -628,11 +628,16 @@ let sharded_tune state t config kernel points =
   let workers = t.t_workers in
   let* canonical, _ = backend state t.t_backend in
   (* Validate the strategy (and rank backend) here so a typo surfaces
-     as a readable request error, not as N worker failures. *)
-  let* _ =
-    match t.t_rank with None -> Ok None | Some name -> Result.map Option.some (backend state name)
+     as a readable request error, not as N worker failures; the
+     resolved rank also names the strategy exactly as in-process. *)
+  let* rank =
+    match t.t_rank with
+    | None -> Ok None
+    | Some name ->
+        let* _, r = backend state name in
+        Ok (Some r)
   in
-  let* strategy = strategy_of t ~n_points:(List.length points) () in
+  let* strategy = strategy_of t ?rank ~n_points:(List.length points) () in
   let journals = shard_journals t ~workers in
   let cleanup () =
     (* ephemeral journals only: a --checkpoint'ed tune keeps its shard
@@ -739,6 +744,22 @@ let chaos_backend ~actions ~jnl inner =
     end in
     (module Chaotic : Backend.S)
 
+(* Count the verifier's compile-time rejections: whatever else the
+   search reports as rejected was rejected by the ranking pass, which
+   is never journaled, so the coordinator needs that count from us. *)
+let counting_infeasible counter inner =
+  let module Inner = (val inner : Backend.S) in
+  let module Counted = struct
+    let name = Inner.name
+    let description = Inner.description
+
+    let assess ?cutoff ?event_budget config kernel variant =
+      let r = Inner.assess ?cutoff ?event_budget config kernel variant in
+      (match r with Backend.Infeasible _ -> incr counter | _ -> ());
+      r
+  end in
+  (module Counted : Backend.S)
+
 (* The body of [swmodel shard-worker]: parse the spec the coordinator
    passed on the command line, rebuild the identical space, keep only
    this shard's points, and run the ordinary search over them with the
@@ -806,10 +827,18 @@ let worker_main spec =
     in
     let link = Sw_tuning.Shard.worker_link ?drop_every ?dup_every () in
     let cpu0 = Sys.time () in
+    let verify_rejected = ref 0 in
     let results, sstats =
       Sw_tuning.Search.run strategy
-        ~backend:(chaos_backend ~actions ~jnl (Backend.journaled jnl))
+        ~backend:
+          (counting_infeasible verify_rejected
+             (chaos_backend ~actions ~jnl (Backend.journaled jnl)))
         ~active_cpes:64 ~link config kernel ~points:mine
+    in
+    let rank_rejected =
+      List.length
+        (List.filter (function _, Sw_tuning.Search.Rejected _ -> true | _ -> false) results)
+      - !verify_rejected
     in
     let machine_us =
       List.fold_left
@@ -828,6 +857,7 @@ let worker_main spec =
           ("machine_us", Json.Float machine_us);
           ("rank_host_s", Json.Float sstats.Sw_tuning.Search.rank_host_s);
           ("rank_machine_us", Json.Float sstats.Sw_tuning.Search.rank_machine_us);
+          ("rank_rejected", Json.Float (float_of_int (Stdlib.max 0 rank_rejected)));
           ("journal_hits", Json.Float (float_of_int (Backend.journal_hits jnl)));
           ("journal_misses", Json.Float (float_of_int (Backend.journal_misses jnl)));
         ]

@@ -116,9 +116,27 @@ let double_buffered_items kernel ~blocks ~unroll chunks =
     List.rev !items
   end
 
-(* Static summary for the longest-path CPE. *)
-let build_summary params kernel ~blocks ~unroll ~active ~double_buffer per_cpe_chunks =
-  let block_u, block_r = blocks in
+(* ------------------------------------------------------------------ *)
+(* Static summary for the longest-path CPE, in two halves.
+
+   The chunk walk over the whole fleet depends only on the machine
+   (transaction size), the kernel, the grain and the effective CPE
+   count: its result, the [shape], is shared by every unroll and
+   double-buffer variant of one grain.  The compute entries depend only
+   on the longest CPE's element count and the unroll, so they are
+   rebuilt per variant for the price of one division. *)
+
+type shape = {
+  dma_groups : Lowered.dma_group list;
+  gload_count : int;
+  gload_bytes : int;
+  longest_elems : int;  (* elements of the longest-path CPE *)
+}
+
+let walk_shape params kernel ~grain ~active =
+  let per_cpe_chunks =
+    Array.init active (fun cpe -> Kernel.chunks_of_cpe kernel ~grain ~active_cpes:active ~cpe)
+  in
   let trans_size = params.Sw_arch.Params.trans_size in
   (* computation follows the longest path (the CPE with the most
      elements); DMA request shapes are tallied over the whole fleet and
@@ -201,7 +219,11 @@ let build_summary params kernel ~blocks ~unroll ~active ~double_buffer per_cpe_c
         let per_cpe = Array.map2 ( + ) per_cpe (Array.map spills_of per_cpe_chunks) in
         (Array.fold_left Stdlib.max 0 per_cpe, g.Kernel.g_bytes)
   in
-  let total_iters = vector_iters kernel (cpe_elems.(!longest) * kernel.Kernel.body_trips_per_element) in
+  { dma_groups; gload_count; gload_bytes; longest_elems = cpe_elems.(!longest) }
+
+let build_summary kernel shape ~blocks ~unroll ~active ~double_buffer =
+  let block_u, block_r = blocks in
+  let total_iters = vector_iters kernel (shape.longest_elems * kernel.Kernel.body_trips_per_element) in
   let trips_u, rem_per_block = Codegen.trips_for ~total_iters ~unroll in
   (* remainders occur per compute item; approximating by the aggregate
      split keeps the summary simple and matches the fused case exactly *)
@@ -212,16 +234,99 @@ let build_summary params kernel ~blocks ~unroll ~active ~double_buffer per_cpe_c
   in
   {
     Lowered.active_cpes = active;
-    dma_groups;
-    gload_count;
-    gload_bytes;
+    dma_groups = shape.dma_groups;
+    gload_count = shape.gload_count;
+    gload_bytes = shape.gload_bytes;
     computes;
     vector_width = kernel.Kernel.vector_width;
     double_buffered = double_buffer;
   }
 
-(* Shared front half: validate the variant, generate blocks, compute
-   the decomposition and the static summary. *)
+(* ------------------------------------------------------------------ *)
+(* Process-wide memo tables.
+
+   Lowering, the chunk walk and code generation are pure, so their
+   results can be shared by everyone pricing the same inputs.  The
+   kernel is keyed by {e physical} identity: [Kernel.t] carries
+   closures (gload address generators), so two structurally-different
+   kernels can share a name ([Kernel.coalesce_gloads] keeps it) and no
+   structural key is sound.  Sweeps hold one kernel value across every
+   point, which is exactly when sharing pays.
+
+   Every table is guarded by one mutex (tuning pools lower from several
+   domains) and FIFO-bounded: sweeps revisit a small working set per
+   kernel, and an unbounded table would pin every lowered program of a
+   long bench run in memory.  Misses compute outside the lock:
+   concurrent misses of the same key both compute (results are equal),
+   nobody blocks on codegen. *)
+
+let cache_lock = Mutex.create ()
+
+let locked f = Mutex.protect cache_lock f
+
+module Fifo (K : Hashtbl.HashedType) = struct
+  module T = Hashtbl.Make (K)
+
+  type 'v t = { tbl : 'v T.t; order : K.t Queue.t; capacity : int }
+
+  let create capacity = { tbl = T.create capacity; order = Queue.create (); capacity }
+
+  let clear t =
+    T.reset t.tbl;
+    Queue.clear t.order
+
+  let memo ?(count = ignore) t key compute =
+    match
+      locked (fun () ->
+          let found = T.find_opt t.tbl key in
+          count (found <> None);
+          found)
+    with
+    | Some v -> v
+    | None ->
+        let v = compute () in
+        locked (fun () ->
+            if not (T.mem t.tbl key) then begin
+              if Queue.length t.order >= t.capacity then T.remove t.tbl (Queue.pop t.order);
+              Queue.push key t.order;
+              T.add t.tbl key v
+            end);
+        v
+end
+
+let kernel_hash (k : Kernel.t) = (k.Kernel.name, k.Kernel.n_elements, k.Kernel.vector_width)
+
+(* Shapes, keyed on (params, kernel, grain, effective active CPEs).
+   [Space.enumerate] is grain-major and [Shard.mine] keeps that order,
+   so a sweep touches one grain at a time. *)
+module Shape_memo = Fifo (struct
+  type t = Sw_arch.Params.t * Kernel.t * int * int
+
+  let equal (p, k, g, a) (p', k', g', a') = k == k' && g = g' && a = a' && p = p'
+
+  let hash (p, k, g, a) = Hashtbl.hash (kernel_hash k, g, a, p)
+end)
+
+let shapes : shape Shape_memo.t = Shape_memo.create 16
+
+(* Code blocks, keyed on (kernel, unroll): a sweep cycles through its
+   unroll axis once per grain. *)
+module Block_memo = Fifo (struct
+  type t = Kernel.t * int
+
+  let equal (k, u) (k', u') = k == k' && u = u'
+
+  let hash (k, u) = Hashtbl.hash (kernel_hash k, u)
+end)
+
+let blocks : Sw_isa.Instr.t array Block_memo.t = Block_memo.create 64
+
+let code_block kernel ~unroll =
+  Block_memo.memo blocks (kernel, unroll) (fun () ->
+      Codegen.block ~ialu_per_access:kernel.Kernel.ialu_per_access ~unroll kernel.Kernel.body)
+
+(* Shared front half: validate the variant, then assemble the static
+   summary from the memoized shape and code blocks. *)
 let compile params kernel (variant : Kernel.variant) =
   let open Kernel in
   if variant.grain <= 0 then Error "grain must be positive"
@@ -238,37 +343,36 @@ let compile params kernel (variant : Kernel.variant) =
         (Printf.sprintf "chunk needs %d B of SPM but only %d B available" spm
            params.Sw_arch.Params.spm_bytes)
     else begin
-      let active = effective_active_cpes kernel ~grain:variant.grain ~requested:variant.active_cpes in
-      let block_u =
-        Codegen.block ~ialu_per_access:kernel.ialu_per_access ~unroll:variant.unroll kernel.body
-      in
-      let block_r =
-        if variant.unroll = 1 then block_u
-        else Codegen.block ~ialu_per_access:kernel.ialu_per_access ~unroll:1 kernel.body
-      in
+      let grain = variant.grain in
+      let active = effective_active_cpes kernel ~grain ~requested:variant.active_cpes in
+      let block_u = code_block kernel ~unroll:variant.unroll in
+      let block_r = if variant.unroll = 1 then block_u else code_block kernel ~unroll:1 in
       let blocks = (block_u, block_r) in
-      let per_cpe_chunks =
-        Array.init active (fun cpe ->
-            chunks_of_cpe kernel ~grain:variant.grain ~active_cpes:active ~cpe)
+      let shape =
+        Shape_memo.memo shapes (params, kernel, grain, active) (fun () ->
+            walk_shape params kernel ~grain ~active)
       in
       let summary =
-        build_summary params kernel ~blocks ~unroll:variant.unroll ~active
-          ~double_buffer:variant.double_buffer per_cpe_chunks
+        build_summary kernel shape ~blocks ~unroll:variant.unroll ~active
+          ~double_buffer:variant.double_buffer
       in
-      Ok (spm, blocks, per_cpe_chunks, summary)
+      Ok (spm, blocks, summary)
     end
   end
 
 let summarize params kernel variant =
-  Result.map (fun (_, _, _, summary) -> summary) (compile params kernel variant)
+  Result.map (fun (_, _, summary) -> summary) (compile params kernel variant)
 
 let lower params kernel (variant : Kernel.variant) =
   match compile params kernel variant with
   | Error msg -> Error msg
-  | Ok (spm, blocks, per_cpe_chunks, summary) ->
+  | Ok (spm, blocks, summary) ->
+      let active = summary.Lowered.active_cpes in
       let programs =
-        Array.map
-          (fun chunks ->
+        Array.init active (fun cpe ->
+            let chunks =
+              Kernel.chunks_of_cpe kernel ~grain:variant.grain ~active_cpes:active ~cpe
+            in
             let items =
               if variant.double_buffer then
                 double_buffered_items kernel ~blocks ~unroll:variant.unroll chunks
@@ -276,7 +380,6 @@ let lower params kernel (variant : Kernel.variant) =
                 List.concat_map (sync_chunk kernel ~blocks ~unroll:variant.unroll) chunks
             in
             Array.of_list items)
-          per_cpe_chunks
       in
       Ok
         {
@@ -292,95 +395,39 @@ let lower_exn params kernel variant =
   | Error msg -> invalid_arg (Printf.sprintf "Lower.lower_exn (%s): %s" kernel.Kernel.name msg)
 
 (* ------------------------------------------------------------------ *)
-(* Cross-run lowering cache.
+(* Cross-run lowering cache: a pruned search assesses a variant (the
+   backend lowers it) and then re-runs the winner and the default (the
+   tuner lowers them again).  Keyed on (params, kernel, variant). *)
 
-   A pruned search assesses a variant (the backend lowers it) and then
-   re-runs the winner and the default (the tuner lowers them again).
-   Lowering is pure, so the result can be shared by everyone pricing
-   the same (params, kernel, variant).
+module Lowered_memo = Fifo (struct
+  type t = Sw_arch.Params.t * Kernel.t * Kernel.variant
 
-   The kernel is keyed by {e physical} identity: [Kernel.t] carries
-   closures (gload address generators), so two structurally-different
-   kernels can share a name ([Kernel.coalesce_gloads] keeps it) and no
-   structural key is sound.  Sweeps hold one kernel value across every
-   point, which is exactly when sharing pays.
+  let equal (p, k, v) (p', k', v') = k == k' && v = v' && p = p'
 
-   The cache is mutex-guarded (tuning pools lower from several domains)
-   and FIFO-bounded: sweeps revisit a small working set per kernel, and
-   an unbounded table would pin every lowered program of a long bench
-   run in memory. *)
-
-type cache_key = {
-  ck_params : Sw_arch.Params.t;
-  ck_kernel : Kernel.t;  (* compared physically *)
-  ck_variant : Kernel.variant;
-}
-
-module Cache_tbl = Hashtbl.Make (struct
-  type t = cache_key
-
-  let equal a b =
-    a.ck_kernel == b.ck_kernel && a.ck_variant = b.ck_variant && a.ck_params = b.ck_params
-
-  let hash k =
-    Hashtbl.hash
-      ( k.ck_params,
-        k.ck_kernel.Kernel.name,
-        k.ck_kernel.Kernel.n_elements,
-        k.ck_kernel.Kernel.vector_width,
-        k.ck_variant )
+  let hash (p, k, v) = Hashtbl.hash (kernel_hash k, v, p)
 end)
 
-let cache_capacity = 64
-
-let cache_lock = Mutex.create ()
-
-let cache : (Lowered.t, string) result Cache_tbl.t = Cache_tbl.create cache_capacity
-
-let cache_fifo : cache_key Queue.t = Queue.create ()
+let lowerings : (Lowered.t, string) result Lowered_memo.t = Lowered_memo.create 64
 
 let cache_hits = ref 0
 
 let cache_misses = ref 0
 
-let locked f =
-  Mutex.lock cache_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
-
 let clear_cache () =
   locked (fun () ->
-      Cache_tbl.reset cache;
-      Queue.clear cache_fifo;
+      Lowered_memo.clear lowerings;
+      Shape_memo.clear shapes;
+      Block_memo.clear blocks;
       cache_hits := 0;
       cache_misses := 0)
 
 let cache_stats () = locked (fun () -> (!cache_hits, !cache_misses))
 
-let lower_cached params kernel (variant : Kernel.variant) =
-  let key = { ck_params = params; ck_kernel = kernel; ck_variant = variant } in
-  match
-    locked (fun () ->
-        match Cache_tbl.find_opt cache key with
-        | Some r ->
-            incr cache_hits;
-            Some r
-        | None ->
-            incr cache_misses;
-            None)
-  with
-  | Some r -> r
-  | None ->
-      (* lower outside the lock: concurrent misses of the same key both
-         compute (results are equal), nobody blocks on codegen *)
-      let r = lower params kernel variant in
-      locked (fun () ->
-          if not (Cache_tbl.mem cache key) then begin
-            if Queue.length cache_fifo >= cache_capacity then
-              Cache_tbl.remove cache (Queue.pop cache_fifo);
-            Queue.push key cache_fifo;
-            Cache_tbl.add cache key r
-          end);
-      r
+let lower_cached params kernel variant =
+  Lowered_memo.memo
+    ~count:(fun hit -> incr (if hit then cache_hits else cache_misses))
+    lowerings (params, kernel, variant)
+    (fun () -> lower params kernel variant)
 
 let lower_cached_exn params kernel variant =
   match lower_cached params kernel variant with

@@ -34,11 +34,22 @@ val spm_required : Kernel.t -> Kernel.variant -> int
     the machine parameters, the kernel value ({e physically} — a
     [Kernel.t] carries gload closures, so only pointer identity is a
     sound key; sweeps hold one kernel value across all points, which is
-    exactly when sharing pays) and the variant.  The table is
-    mutex-guarded (safe under {!Sw_util.Pool}
-    fan-out) and FIFO-bounded at a small capacity, sized for the
-    working set of a tuning sweep.  Both [Ok] and [Error] (infeasible)
-    results are cached. *)
+    exactly when sharing pays) and the variant.  Both [Ok] and [Error]
+    (infeasible) results are cached.
+
+    {!summarize} and {!lower} build their summary through one path
+    whose two halves are memoized the same way: the grain-only shape
+    (DMA request groups, Gload count and bytes, the longest CPE's
+    element count — the chunk walk over the fleet), keyed on
+    (parameters, kernel, grain, effective active CPEs), and the code
+    blocks, keyed on (kernel, unroll).  Only the compute trip counts
+    are recomputed per variant, so every variant of a grain shares one
+    chunk walk.
+
+    All three tables are mutex-guarded (safe under {!Sw_util.Pool}
+    fan-out) and FIFO-bounded — 64 lowerings, 16 shapes, 64 blocks —
+    which covers a sweep's working set because the tuner's
+    [Space.enumerate] is grain-major and shards keep that order. *)
 
 val lower_cached :
   Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> (Lowered.t, string) result
@@ -49,8 +60,9 @@ val lower_cached_exn : Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> Lowered
 (** @raise Invalid_argument when {!lower_cached} returns [Error]. *)
 
 val clear_cache : unit -> unit
-(** Drop all cached lowerings and zero the hit/miss counters (cold-run
-    benchmarking). *)
+(** Drop all cached lowerings, shapes and code blocks and zero the
+    hit/miss counters (cold-run benchmarking). *)
 
 val cache_stats : unit -> int * int
-(** [(hits, misses)] since creation or {!clear_cache}. *)
+(** [(hits, misses)] of {!lower_cached} since creation or
+    {!clear_cache}. *)

@@ -313,11 +313,6 @@ let reap p =
   end
   else None
 
-let status_string = function
-  | Unix.WEXITED n -> Printf.sprintf "exited %d" n
-  | Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
-  | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
-
 (* Terminate every still-running worker: SIGTERM, a short grace period
    of WNOHANG polls, SIGKILL for the stubborn, then a blocking reap so
    no zombie outlives the coordinator. *)
@@ -364,13 +359,11 @@ let close_fds procs =
 (* ------------------------------------------------------------------ *)
 (* Supervision.
 
-   One engine drives both entry points.  Each launched worker occupies
-   a slot; the slot survives the worker.  A worker that reaches EOF
-   without a Done, exits nonzero, or dies on a signal — or that shows
-   no pipe traffic for [hang_timeout_s] (heartbeats make silence
-   meaningful) and is SIGKILLed for it — either fails the whole run
-   (fail-fast mode, the old [coordinate] contract) or is relaunched
-   from its remembered argv.  The relaunch is safe precisely because
+   Each launched worker occupies a slot; the slot survives the worker.
+   A worker that reaches EOF without a Done, exits nonzero, or dies on
+   a signal — or that shows no pipe traffic for [hang_timeout_s]
+   (heartbeats make silence meaningful) and is SIGKILLed for it — is
+   relaunched from its remembered argv.  The relaunch is safe precisely because
    the journal is the ground truth: the new incarnation replays every
    entry its predecessor committed (torn tails are truncated on open)
    and recomputes only what was in flight, so the merged argmin is
@@ -395,7 +388,7 @@ type slot = {
   mutable expected_seq : int;
 }
 
-let drive ~fail_fast ~max_restarts ~hang_timeout_s procs =
+let supervise ?(max_restarts = 2) ?hang_timeout_s procs =
   let restore_sigpipe = ignore_sigpipe () in
   let now () = Unix.gettimeofday () in
   let slots =
@@ -406,10 +399,8 @@ let drive ~fail_fast ~max_restarts ~hang_timeout_s procs =
       procs
   in
   let best = ref None in
-  let failure = ref None in
   let dropped = ref 0 in
   let chunk = Bytes.create 8192 in
-  let fail msg = if !failure = None then failure := Some msg in
   let live_slots () =
     List.filter (fun s -> not (s.quarantined || s.proc.eof)) slots
   in
@@ -437,13 +428,12 @@ let drive ~fail_fast ~max_restarts ~hang_timeout_s procs =
     | Some (Cutoff _) | None -> () (* not a worker->coordinator message: ignore *)
   in
   (* A slot whose worker died (or was killed for hanging): relaunch it
-     with a fresh incarnation number, or fail / quarantine. *)
-  let on_death s reason =
+     with a fresh incarnation number, or quarantine it. *)
+  let on_death s =
     let p = s.proc in
     (try Unix.close p.to_worker with Unix.Unix_error _ -> ());
     (try Unix.close p.from_worker with Unix.Unix_error _ -> ());
-    if fail_fast then fail reason
-    else if s.restarts < max_restarts then begin
+    if s.restarts < max_restarts then begin
       s.restarts <- s.restarts + 1;
       let p' = launch ~incarnation:s.restarts ~shard:p.shard ~argv:p.argv () in
       s.proc <- p';
@@ -465,10 +455,7 @@ let drive ~fail_fast ~max_restarts ~hang_timeout_s procs =
         List.iter (handle s) (take_lines p.rbuf);
         match reap p with
         | Some (Unix.WEXITED 0) when p.finished <> None -> ()
-        | Some (Unix.WEXITED 0) ->
-            on_death s (Printf.sprintf "shard %d exited without reporting completion" p.shard)
-        | Some status ->
-            on_death s (Printf.sprintf "shard %d (pid %d) %s" p.shard p.pid (status_string status))
+        | Some _ -> on_death s
         | None -> ())
     | n ->
         s.last_activity <- now ();
@@ -490,8 +477,7 @@ let drive ~fail_fast ~max_restarts ~hang_timeout_s procs =
               (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
               ignore (reap p);
               p.eof <- true;
-              on_death s (Printf.sprintf "shard %d (pid %d) hung: no progress in %.1fs"
-                            p.shard p.pid limit)
+              on_death s
             end)
           (live_slots ())
   in
@@ -503,25 +489,22 @@ let drive ~fail_fast ~max_restarts ~hang_timeout_s procs =
       restore_sigpipe ())
     (fun () ->
       let rec loop () =
-        if !failure <> None then ()
-        else
-          let open_slots = live_slots () in
-          if open_slots = [] then ()
-          else begin
-            let fds = List.map (fun s -> s.proc.from_worker) open_slots in
-            (match Unix.select fds [] [] 0.1 with
-            | readable, _, _ ->
-                List.iter
-                  (fun s -> if List.mem s.proc.from_worker readable then on_readable s)
-                  open_slots;
-                (* retry any parked partial cutoff line *)
-                List.iter
-                  (fun s -> if s.proc.pending <> "" then send s.proc "")
-                  (live_slots ());
-                check_hangs ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            loop ()
-          end
+        let open_slots = live_slots () in
+        if open_slots <> [] then begin
+          let fds = List.map (fun s -> s.proc.from_worker) open_slots in
+          (match Unix.select fds [] [] 0.1 with
+          | readable, _, _ ->
+              List.iter
+                (fun s -> if List.mem s.proc.from_worker readable then on_readable s)
+                open_slots;
+              (* retry any parked partial cutoff line *)
+              List.iter
+                (fun s -> if s.proc.pending <> "" then send s.proc "")
+                (live_slots ());
+              check_hangs ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+          loop ()
+        end
       in
       loop ();
       let quarantined =
@@ -534,23 +517,9 @@ let drive ~fail_fast ~max_restarts ~hang_timeout_s procs =
           (fun s -> match s.proc.finished with Some stats -> stats | None -> Json.Null)
           (List.sort (fun a b -> compare a.proc.shard b.proc.shard) slots)
       in
-      match !failure with
-      | Some msg -> Error msg
-      | None ->
-          Ok
-            {
-              stats;
-              health = (if quarantined = [] then Completed else Degraded quarantined);
-              restarts;
-              lines_dropped = !dropped;
-            })
-
-let supervise ?(max_restarts = 2) ?hang_timeout_s procs =
-  match drive ~fail_fast:false ~max_restarts ~hang_timeout_s procs with
-  | Ok report -> report
-  | Error _ -> assert false (* fail_fast:false never produces Error *)
-
-let coordinate procs =
-  match drive ~fail_fast:true ~max_restarts:0 ~hang_timeout_s:None procs with
-  | Ok report -> Ok report.stats
-  | Error msg -> Error msg
+      {
+        stats;
+        health = (if quarantined = [] then Completed else Degraded quarantined);
+        restarts;
+        lines_dropped = !dropped;
+      })

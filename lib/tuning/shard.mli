@@ -7,8 +7,7 @@
     on enumeration order or process); each worker runs an ordinary
     {!Search} strategy over its shard with a {!Search.link} wired to
     its stdin/stdout ({!worker_link}), journaling every resolved
-    assessment; the coordinator ({!launch} + {!supervise} or
-    {!coordinate}) relays each worker's incumbent back out to the
+    assessment; the coordinator ({!launch} + {!supervise}) relays each worker's incumbent back out to the
     others as a global cutoff.  Every pipe message is advisory — a
     dropped cutoff costs extra verifications, never the argmin, because
     cutoffs are strict and the merged result set is read back from the
@@ -147,10 +146,3 @@ val supervise : ?max_restarts:int -> ?hang_timeout_s:float -> proc list -> repor
     exhausts its budget is quarantined — [Degraded], never an error.
     All pipe descriptors are closed and all children reaped on every
     path. *)
-
-val coordinate : proc list -> (Sw_obs.Json.t list, string) result
-(** The pre-supervision fail-fast contract, same engine: any worker
-    death turns the run into [Error] immediately; the remaining workers
-    are terminated (SIGTERM, short grace, SIGKILL) and reaped first.
-    Their journals survive, so re-running resumes rather than
-    restarts.  Returns the stats in shard order. *)

@@ -253,6 +253,7 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
                      "sharded %s tuner: no feasible point among %d in the search space"
                      backend_name (List.length points)))
           | Some (best_point, _) ->
+              let rank_rejected = int_of_float (sum_stat dones "rank_rejected") in
               let best_variant = Space.to_variant best_point ~active_cpes in
               let run_variant variant =
                 Sw_backend.Machine.cycles config
@@ -281,8 +282,10 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
                   tuning_cpu_s = Sys.time () -. cpu0 +. sum_stat dones "cpu_s";
                   machine_time_us = sum_stat dones "machine_us";
                   evaluated = !evaluated;
-                  infeasible = !infeasible;
-                  points_pruned = !pruned;
+                  (* points the workers' ranking pass rejected never
+                     reach a journal: infeasible, not pruned *)
+                  infeasible = !infeasible + rank_rejected;
+                  points_pruned = !pruned - rank_rejected;
                   (* workers rank concurrently: the wall bill is the slowest *)
                   rank_host_s = max_stat dones "rank_host_s";
                   rank_machine_us = sum_stat dones "rank_machine_us";

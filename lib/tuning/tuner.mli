@@ -189,7 +189,10 @@ val tune_sharded :
     summed worker CPU bill, [rank_host_s] the slowest worker's ranking
     pass, and the counts ([evaluated]/[infeasible]/[points_pruned])
     are recomputed from the merged journals, so a resumed run reports
-    the same totals as an uninterrupted one.  [best_cycles] and
+    the same totals as an uninterrupted one.  Points a worker's ranking
+    pass rejected are never journaled; each worker's [Done] stats carry
+    their count as ["rank_rejected"], and they count as [infeasible],
+    as in {!tune}.  [best_cycles] and
     [default_cycles] are the usual one-per-variant validation runs,
     executed by the coordinator. *)
 

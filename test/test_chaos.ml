@@ -349,11 +349,14 @@ let test_supervise_lines_dropped () =
   Alcotest.(check bool) "completed" true (report.Shard.health = Shard.Completed);
   Alcotest.(check int) "two lines lost in the gap" 2 report.Shard.lines_dropped
 
-(* The legacy fail-fast contract is a wrapper over the same engine. *)
-let test_coordinate_fail_fast () =
-  match Shard.coordinate [ sh_proc ~shard:0 {|exit 7|} ] with
-  | Ok _ -> Alcotest.fail "coordinate must fail fast on a dead worker"
-  | Error msg -> Alcotest.(check bool) "names the shard" true (String.length msg > 0)
+(* Without a restart budget a dead worker is quarantined at once: the
+   run reports it degraded, never relaunches it, and keeps no stats. *)
+let test_zero_restarts_fail_fast () =
+  let report = Shard.supervise ~max_restarts:0 [ sh_proc ~shard:0 {|exit 7|} ] in
+  Alcotest.(check bool) "dead shard quarantined" true
+    (report.Shard.health = Shard.Degraded [ 0 ]);
+  Alcotest.(check int) "no relaunch" 0 report.Shard.restarts;
+  Alcotest.(check bool) "no stats" true (report.Shard.stats = [ Json.Null ])
 
 let tests =
   ( "chaos",
@@ -371,5 +374,5 @@ let tests =
       Alcotest.test_case "hung worker is killed and relaunched" `Quick test_supervise_hang;
       Alcotest.test_case "sequence gaps count dropped lines" `Quick
         test_supervise_lines_dropped;
-      Alcotest.test_case "coordinate stays fail-fast" `Quick test_coordinate_fail_fast;
+      Alcotest.test_case "zero restarts stays fail-fast" `Quick test_zero_restarts_fail_fast;
     ] )

@@ -193,6 +193,101 @@ let test_active_cpes_capped_by_chunks () =
   let l = Lower.lower_exn p (mk_kernel ~n:100 ()) (variant ~grain:50 ()) in
   Alcotest.(check int) "only 2 chunks -> 2 CPEs" 2 l.Lowered.summary.Lowered.active_cpes
 
+(* The summary is assembled from a grain-keyed shape and unroll-keyed
+   code blocks, both memoized.  Whatever the memo holds — warm in
+   enumeration order, warm in a shuffled order, cold before every call,
+   through [lower], or filled from two domains at once — every variant
+   must get the same summary.  One kernel per summary branch: a
+   [Per_chunk] copy (backprop), compiler spill Gloads (kmeans below
+   grain 16), irregular per-element Gloads (bfs) and a strided copy. *)
+let strided_kernel () =
+  let n = 600 in
+  let stride = 256 in
+  let copies =
+    [
+      {
+        Kernel.array_name = "s";
+        bytes_per_elem = 32;
+        direction = Kernel.In;
+        freq = Kernel.Per_element;
+        layout = Kernel.Strided stride;
+        base_addr = Layout.alloc layout ~bytes:(stride * n);
+      };
+      copy "o3" Kernel.Out n;
+    ]
+  in
+  Kernel.make ~name:"strided-grid" ~n_elements:n ~copies
+    ~body:[ Body.Store ("o3", Body.load "s") ] ()
+
+let test_memo_differential () =
+  let grid =
+    List.concat_map
+      (fun grain ->
+        List.concat_map
+          (fun unroll -> List.map (fun db -> variant ~grain ~unroll ~db ()) [ false; true ])
+          [ 1; 2; 3; 4 ])
+      [ 1; 4; 8; 12; 16; 24; 64; 100; 256 ]
+  in
+  let kernels =
+    [
+      ("backprop", Sw_workloads.Backprop.kernel ~scale:0.05);
+      ("kmeans", Sw_workloads.Kmeans.kernel ~scale:0.05);
+      ("bfs", Sw_workloads.Bfs.kernel ~scale:0.05);
+      ("strided", strided_kernel ());
+    ]
+  in
+  let rng = Sw_util.Prng.create 7 in
+  let shuffle xs =
+    let a = Array.of_list xs in
+    for i = Array.length a - 1 downto 1 do
+      let j = Sw_util.Prng.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  let pool = Sw_util.Pool.create ~size:2 () in
+  List.iter
+    (fun (name, k) ->
+      let summarize v = Lower.summarize p k v in
+      Lower.clear_cache ();
+      let cold =
+        List.map
+          (fun v ->
+            Lower.clear_cache ();
+            summarize v)
+          grid
+      in
+      Lower.clear_cache ();
+      let warm = List.map summarize grid in
+      Lower.clear_cache ();
+      let shuffled =
+        let results = List.map (fun v -> (v, summarize v)) (shuffle grid) in
+        List.map (fun v -> List.assoc v results) grid
+      in
+      let lowered =
+        List.map (fun v -> Result.map (fun l -> l.Lowered.summary) (Lower.lower p k v)) grid
+      in
+      Lower.clear_cache ();
+      let pooled = Sw_util.Pool.map pool summarize grid in
+      let feasible = List.length (List.filter Result.is_ok cold) in
+      Alcotest.(check bool) (name ^ ": grid has feasible points") true (feasible > 0);
+      List.iteri
+        (fun i v ->
+          let expect = List.nth cold i in
+          let check what got =
+            if got <> expect then
+              Alcotest.failf "%s grain=%d unroll=%d db=%b: %s summary differs from cold" name
+                v.Kernel.grain v.Kernel.unroll v.Kernel.double_buffer what
+          in
+          check "warm" (List.nth warm i);
+          check "shuffled" (List.nth shuffled i);
+          check "lower" (List.nth lowered i);
+          check "pooled" (List.nth pooled i))
+        grid)
+    kernels
+
 let tests =
   ( "lower",
     [
@@ -210,4 +305,5 @@ let tests =
       Alcotest.test_case "strided copy requests" `Quick test_strided_copy_requests;
       Alcotest.test_case "summarize = lower summary" `Quick test_summarize_matches_lower;
       Alcotest.test_case "active CPEs capped by chunks" `Quick test_active_cpes_capped_by_chunks;
+      Alcotest.test_case "memoized summary path agrees" `Quick test_memo_differential;
     ] )

@@ -292,6 +292,40 @@ let test_axis_syntax () =
       | Error _ -> ())
     [ "0..3"; "x"; "1.."; ""; "3..1:0" ]
 
+(* A sharded tune reports the outcome fields the in-process tune does:
+   the strategy label names the rank backend actually used, and the
+   points the workers' ranking pass rejected count as infeasible, not
+   pruned (they are never journaled).  [evaluated] may differ — global
+   cutoffs reach a worker mid-shortlist — but [evaluated + pruned] may
+   not. *)
+let test_sharded_outcome_fields () =
+  Unix.putenv "SWPM_WORKER_EXE" Sys.executable_name;
+  let module H = Sw_serve.Handler in
+  let req =
+    {
+      (H.tune_defaults ~kernel:"kmeans") with
+      H.t_backend = "model";
+      t_strategy = "shortlist";
+      t_rank = Some "model";
+      t_grains = Some "8,64,512,1024,2048";
+      t_scale = 0.25;
+      t_seed = Some 3;
+    }
+  in
+  let outcome workers =
+    match H.tune (H.create ()) { req with H.t_workers = workers } with
+    | Ok r -> r.H.tr_outcome
+    | Error msg -> Alcotest.failf "workers=%d: %s" workers msg
+  in
+  let local = outcome 1 and sharded = outcome 2 in
+  Alcotest.(check string) "strategy label" local.Tuner.strategy sharded.Tuner.strategy;
+  Alcotest.(check bool) "space has rank-infeasible points" true (local.Tuner.infeasible > 0);
+  Alcotest.(check int) "infeasible" local.Tuner.infeasible sharded.Tuner.infeasible;
+  Alcotest.(check int) "evaluated + pruned"
+    (local.Tuner.evaluated + local.Tuner.points_pruned)
+    (sharded.Tuner.evaluated + sharded.Tuner.points_pruned);
+  Alcotest.(check bool) "same argmin" true (local.Tuner.best = sharded.Tuner.best)
+
 let tests =
   ( "shard",
     [
@@ -305,4 +339,5 @@ let tests =
       Alcotest.test_case "protocol lines round-trip bit-exactly" `Quick test_protocol_roundtrip;
       Alcotest.test_case "cutoff link is advisory" `Slow test_link_advisory;
       Alcotest.test_case "axis syntax" `Quick test_axis_syntax;
+      Alcotest.test_case "sharded outcome fields match" `Quick test_sharded_outcome_fields;
     ] )
