@@ -534,23 +534,6 @@ type journal_entry =
 let config_digest (config : Sw_sim.Config.t) =
   Digest.to_hex (Digest.string (Marshal.to_string config []))
 
-(* One JSON object per line, written with Printf and parsed back with
-   the mirror-image Scanf format.  Floats use %.17g, which round-trips
-   IEEE doubles exactly — replayed cycles are bit-identical to the run
-   that journaled them. *)
-let journal_header_fmt : _ format6 =
-  "{\"journal\": \"swpm\", \"version\": 1, \"config\": %S}"
-
-let journal_line_fmt : _ format6 =
-  "{\"kernel\": %S, \"elems\": %d, \"vw\": %d, \"grain\": %d, \"unroll\": %d, \
-   \"cpes\": %d, \"db\": %B, \"status\": %S, \"cycles\": %.17g, \
-   \"machine_us\": %.17g, \"events\": %d, \"backend\": %S, \"reason\": %S}"
-
-let journal_line_scan_fmt : _ format6 =
-  "{\"kernel\": %S, \"elems\": %d, \"vw\": %d, \"grain\": %d, \"unroll\": %d, \
-   \"cpes\": %d, \"db\": %B, \"status\": %S, \"cycles\": %f, \
-   \"machine_us\": %f, \"events\": %d, \"backend\": %S, \"reason\": %S}"
-
 type journal_key = {
   jk_kernel : string;
   jk_elems : int;
@@ -558,105 +541,431 @@ type journal_key = {
   jk_variant : Kernel.variant;
 }
 
-let parse_journal_line line =
-  try
-    Scanf.sscanf line journal_line_scan_fmt
-      (fun kernel elems vw grain unroll cpes db status cycles machine_us events jbackend
-           jreason ->
-        let key =
-          {
-            jk_kernel = kernel;
-            jk_elems = elems;
-            jk_vw = vw;
-            jk_variant = { Kernel.grain; unroll; active_cpes = cpes; double_buffer = db };
-          }
-        in
-        match status with
-        | "ok" -> Some (key, Journal_ok { cycles; machine_us; machine_events = events })
-        | "infeasible" -> Some (key, Journal_infeasible { jbackend; jreason })
-        | _ -> None)
-  with Scanf.Scan_failure _ | End_of_file | Failure _ -> None
+(* The journal line codec.  One JSON object per line, a header then one
+   entry per resolved assessment:
+
+     {"journal": "swpm", "version": 1, "config": "<digest>"}
+     {"kernel": "<name>", "elems": N, "vw": N, "grain": N, "unroll": N,
+      "cpes": N, "db": B, "status": "ok", "cycles": F, "machine_us": F,
+      "events": N, "backend": "", "reason": ""}
+
+   (each entry on one line; "infeasible" entries carry "backend" and
+   "reason" and zeros for the numbers)
+
+   The encoder writes the bytes of the Printf formats earlier builds
+   used — strings as "%S" (OCaml escapes), ints as "%d", bools as "%B",
+   floats as "%.17g" — so journals replay across builds.  %.17g
+   round-trips IEEE doubles exactly, so replayed cycles are
+   bit-identical to the run that journaled them.  The decoder accepts
+   what the mirror-image Scanf format accepted: every space of the
+   format matches any run of blanks, strings take OCaml escapes, ints
+   may carry a sign and '_' separators, floats are "%f" tokens, and
+   bytes after the closing brace are ignored.  A non-finite float
+   encodes as "inf" or "nan", which "%f" never reads, so such a line
+   replays as nothing and its point is re-assessed. *)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+let add_quoted b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
+
+let header_line digest =
+  "{\"journal\": \"swpm\", \"version\": 1, \"config\": \"" ^ String.escaped digest ^ "\"}"
+
+(* the bytes of [string_of_int n], written straight into [b] *)
+let add_int b n =
+  let rec digits n =
+    (* [n <= 0], so [min_int] needs no negation *)
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+  in
+  if n < 0 then Buffer.add_char b '-';
+  digits (if n < 0 then n else -n)
+
+(* the bytes of "%.17g": an integral value below 2^53 prints as its
+   integer (no exponent below 10^17), anything else goes to C *)
+let add_float b x =
+  if Float.is_integer x && Float.abs x < 0x1p53 && not (x = 0.0 && Float.sign_bit x) then
+    add_int b (int_of_float x)
+  else Buffer.add_string b (format_float "%.17g" x)
+
+let encode_entry b key entry =
+  let field name = Buffer.add_string b name in
+  let int n = add_int b n in
+  let float x = add_float b x in
+  let v = key.jk_variant in
+  field "{\"kernel\": ";
+  add_quoted b key.jk_kernel;
+  field ", \"elems\": ";
+  int key.jk_elems;
+  field ", \"vw\": ";
+  int key.jk_vw;
+  field ", \"grain\": ";
+  int v.Kernel.grain;
+  field ", \"unroll\": ";
+  int v.Kernel.unroll;
+  field ", \"cpes\": ";
+  int v.Kernel.active_cpes;
+  field ", \"db\": ";
+  Buffer.add_string b (string_of_bool v.Kernel.double_buffer);
+  let status, cycles, machine_us, events, jbackend, jreason =
+    match entry with
+    | Journal_ok { cycles; machine_us; machine_events } ->
+        ("ok", cycles, machine_us, machine_events, "", "")
+    | Journal_infeasible { jbackend; jreason } -> ("infeasible", 0.0, 0.0, 0, jbackend, jreason)
+  in
+  field ", \"status\": ";
+  add_quoted b status;
+  field ", \"cycles\": ";
+  float cycles;
+  field ", \"machine_us\": ";
+  float machine_us;
+  field ", \"events\": ";
+  int events;
+  field ", \"backend\": ";
+  add_quoted b jbackend;
+  field ", \"reason\": ";
+  add_quoted b jreason;
+  Buffer.add_char b '}'
+
+exception Malformed
+
+(* The decoder walks one line with a cursor; any mismatch raises
+   [Malformed], which the line-level entry points turn into [None]. *)
+type cursor = { line : string; mutable pos : int }
+
+let at_end c = c.pos >= String.length c.line
+
+let peek c = if at_end c then raise Malformed else c.line.[c.pos]
+
+let next c =
+  let ch = peek c in
+  c.pos <- c.pos + 1;
+  ch
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+let blanks c =
+  while (not (at_end c)) && match c.line.[c.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false do
+    c.pos <- c.pos + 1
+  done
+
+let rec verbatim s p lit k =
+  k = String.length lit
+  || (String.unsafe_get s (p + k) = String.unsafe_get lit k && verbatim s p lit (k + 1))
+
+(* a literal of the format; each space in it matches any run of blanks.
+   The encoder writes one space for each: that spelling is one compare. *)
+let expect c lit =
+  let n = String.length lit in
+  if c.pos + n <= String.length c.line && verbatim c.line c.pos lit 0 then begin
+    c.pos <- c.pos + n;
+    (* the other spaces of a literal are followed by non-blanks *)
+    if lit.[n - 1] = ' ' then blanks c
+  end
+  else
+    for k = 0 to n - 1 do
+      if lit.[k] = ' ' then blanks c else if next c <> lit.[k] then raise Malformed
+    done
+
+(* digits, with '_' separators allowed anywhere in the run *)
+let digits c =
+  while (not (at_end c)) && (is_digit c.line.[c.pos] || c.line.[c.pos] = '_') do
+    c.pos <- c.pos + 1
+  done
+
+let skip_sign c = match peek c with '+' | '-' -> c.pos <- c.pos + 1 | _ -> ()
+
+let int_floor = min_int / 10
+
+(* The value of the digits (and '_' separators) in [s.[i .. stop-1]],
+   negated — so [min_int] parses — or [Malformed] past [min_int]. *)
+let neg_value s i stop =
+  let acc = ref 0 in
+  for k = i to stop - 1 do
+    if s.[k] <> '_' then begin
+      let d = Char.code s.[k] - Char.code '0' in
+      if !acc < int_floor || !acc * 10 < min_int + d then raise Malformed;
+      acc := (!acc * 10) - d
+    end
+  done;
+  !acc
+
+(* "%d": a sign, a digit, more digits or '_'; out of range fails, as
+   [int_of_string] does *)
+let int c =
+  let neg = peek c = '-' in
+  skip_sign c;
+  if not (is_digit (peek c)) then raise Malformed;
+  let start = c.pos in
+  digits c;
+  let v = neg_value c.line start c.pos in
+  if neg then v else if v = min_int then raise Malformed else -v
+
+(* "%f": [sign] digits [. [digit digits]] [(e|E) [sign] digit digits],
+   then [float_of_string] on the token — so "inf" and "nan" fail.  A
+   token of up to 15 plain digits is an integer below 2^53, which
+   [float_of_int] converts as exactly as [float_of_string] would. *)
+let float c =
+  let start = c.pos in
+  skip_sign c;
+  let int_start = c.pos in
+  digits c;
+  let int_stop = c.pos in
+  if (not (at_end c)) && c.line.[c.pos] = '.' then begin
+    c.pos <- c.pos + 1;
+    if (not (at_end c)) && is_digit c.line.[c.pos] then digits c
+  end;
+  if (not (at_end c)) && (c.line.[c.pos] = 'e' || c.line.[c.pos] = 'E') then begin
+    c.pos <- c.pos + 1;
+    skip_sign c;
+    if not (is_digit (peek c)) then raise Malformed;
+    digits c
+  end;
+  if c.pos = int_stop && int_stop > int_start && int_stop - int_start <= 15
+     && is_digit c.line.[int_start]
+  then
+    let x = float_of_int (-neg_value c.line int_start int_stop) in
+    if c.line.[start] = '-' then -.x else x
+  else
+    match float_of_string_opt (String.sub c.line start (c.pos - start)) with
+    | Some x -> x
+    | None -> raise Malformed
+
+let bool c =
+  match peek c with
+  | 't' ->
+      expect c "true";
+      true
+  | 'f' ->
+      expect c "false";
+      false
+  | _ -> raise Malformed
+
+(* "%S": a quoted OCaml string literal.  Strings without escapes (every
+   one a journal writes for its kernels and statuses) are one [sub]. *)
+let str c =
+  if next c <> '"' then raise Malformed;
+  let s = c.line and start = c.pos in
+  let stop = ref start in
+  while !stop < String.length s && s.[!stop] <> '"' && s.[!stop] <> '\\' do
+    incr stop
+  done;
+  if !stop >= String.length s then raise Malformed;
+  if s.[!stop] = '"' then begin
+    c.pos <- !stop + 1;
+    String.sub s start (!stop - start)
+  end
+  else begin
+    let b = Buffer.create (!stop - start + 16) in
+    Buffer.add_substring b s start (!stop - start);
+    c.pos <- !stop;
+    let code base d =
+      match d with
+      | '0' .. '9' -> Char.code d - Char.code '0'
+      | 'a' .. 'f' when base = 16 -> Char.code d - Char.code 'a' + 10
+      | 'A' .. 'F' when base = 16 -> Char.code d - Char.code 'A' + 10
+      | _ -> raise Malformed
+    in
+    let rec body () =
+      match next c with
+      | '"' -> Buffer.contents b
+      | '\\' -> escape ()
+      | ch ->
+          Buffer.add_char b ch;
+          body ()
+    and escape () =
+      match next c with
+      | '\n' -> skip_spaces ()
+      | '\r' ->
+          (* Scanf's rule: backslash CR LF is a line continuation;
+             backslash CR then any other character reads as one CR,
+             that character dropped *)
+          if next c = '\n' then skip_spaces () else add '\r'
+      | ('\\' | '\'' | '"') as ch -> add ch
+      | 'n' -> add '\n'
+      | 't' -> add '\t'
+      | 'b' -> add '\b'
+      | 'r' -> add '\r'
+      | '0' .. '9' as d0 ->
+          let d1 = next c in
+          let d2 = next c in
+          let n = (100 * code 10 d0) + (10 * code 10 d1) + code 10 d2 in
+          if n > 255 then raise Malformed;
+          add (Char.chr n)
+      | 'x' ->
+          let h1 = next c in
+          let h2 = next c in
+          add (Char.chr ((16 * code 16 h1) + code 16 h2))
+      | _ -> raise Malformed
+    and add ch =
+      Buffer.add_char b ch;
+      body ()
+    and skip_spaces () =
+      while peek c = ' ' do
+        c.pos <- c.pos + 1
+      done;
+      body ()
+    in
+    body ()
+  end
+
+let decode_header line =
+  let c = { line; pos = 0 } in
+  match
+    expect c "{\"journal\": ";
+    ignore (str c : string);
+    expect c ", \"version\": ";
+    let version = int c in
+    expect c ", \"config\": ";
+    let digest = str c in
+    expect c "}";
+    (version, digest)
+  with
+  | header -> Some header
+  | exception Malformed -> None
+
+let journal_parse_line line =
+  let c = { line; pos = 0 } in
+  match
+    expect c "{\"kernel\": ";
+    let kernel = str c in
+    expect c ", \"elems\": ";
+    let elems = int c in
+    expect c ", \"vw\": ";
+    let vw = int c in
+    expect c ", \"grain\": ";
+    let grain = int c in
+    expect c ", \"unroll\": ";
+    let unroll = int c in
+    expect c ", \"cpes\": ";
+    let cpes = int c in
+    expect c ", \"db\": ";
+    let db = bool c in
+    expect c ", \"status\": ";
+    let status = str c in
+    expect c ", \"cycles\": ";
+    let cycles = float c in
+    expect c ", \"machine_us\": ";
+    let machine_us = float c in
+    expect c ", \"events\": ";
+    let events = int c in
+    expect c ", \"backend\": ";
+    let jbackend = str c in
+    expect c ", \"reason\": ";
+    let jreason = str c in
+    expect c "}";
+    let key =
+      {
+        jk_kernel = kernel;
+        jk_elems = elems;
+        jk_vw = vw;
+        jk_variant = { Kernel.grain; unroll; active_cpes = cpes; double_buffer = db };
+      }
+    in
+    match status with
+    | "ok" -> Some (key, Journal_ok { cycles; machine_us; machine_events = events })
+    | "infeasible" -> Some (key, Journal_infeasible { jbackend; jreason })
+    | _ -> None
+  with
+  | parsed -> parsed
+  | exception Malformed -> None
+
+(* How a journal file opens.  [Replayable] has fed every decodable
+   entry line to the caller; [torn_at] is where an unterminated final
+   line (a kill mid-write) starts. *)
+type journal_file =
+  | Absent
+  | Empty
+  | Malformed_header
+  | Bound_elsewhere of { version : int; digest : string }
+  | Replayable of { torn_at : int option }
+
+(* The one reader behind resume, [journal_read] and [journal_merge]: a
+   header bound to [digest], then one entry per line, undecodable lines
+   (the torn tail among them) skipped. *)
+let scan_journal ~digest path ~entry =
+  match open_in_bin path with
+  | exception Sys_error _ -> Absent
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match input_line ic with
+          | exception End_of_file -> Empty
+          | header -> (
+              match decode_header header with
+              | None -> Malformed_header
+              | Some (1, d) when d = digest ->
+                  let last = ref header in
+                  (try
+                     while true do
+                       let line = input_line ic in
+                       last := line;
+                       match journal_parse_line line with
+                       | Some (key, e) -> entry key e
+                       | None -> ()
+                     done
+                   with End_of_file -> ());
+                  let len = in_channel_length ic in
+                  seek_in ic (len - 1);
+                  let torn = input_char ic <> '\n' in
+                  Replayable { torn_at = (if torn then Some (len - String.length !last) else None) }
+              | Some (version, digest) -> Bound_elsewhere { version; digest }))
+
+(* A table sized for the entries of [paths]: it grows only past two
+   entries per bucket and an entry line is well over 100 bytes, so one
+   bucket per 200 bytes never grows (each growth rehashes every key). *)
+let table_for paths : (journal_key, journal_entry) Hashtbl.t =
+  let bytes path =
+    match Unix.stat path with st -> st.Unix.st_size | exception Unix.Unix_error _ -> 0
+  in
+  Hashtbl.create (max 64 (List.fold_left (fun n p -> n + bytes p) 0 paths / 200))
 
 let journal ?sink ~path config (inner : t) : journal =
   let module I = (val inner : S) in
   let digest = config_digest config in
-  let table : (journal_key, journal_entry) Hashtbl.t = Hashtbl.create 64 in
-  (* Replay: accept the file only if its header names this exact
-     configuration; a truncated tail line (the crash case) parses as
-     nothing and is ignored. *)
+  let table = table_for [ path ] in
   (* Three-way open: no prior file (fresh), a replayable file, or a
-     file that exists but cannot be trusted — empty, garbage bytes, a
-     foreign digest.  The last falls back to a fresh journal (the run
+     file that exists but cannot be trusted — garbage bytes, a foreign
+     digest.  The last falls back to a fresh journal (the run
      recomputes; correctness never depends on the replay) but is worth
      a warning counter: an operator seeing ["journal.unreadable"] climb
-     knows checkpoints are being discarded, not used. *)
-  let header_state =
-    match open_in path with
-    | exception Sys_error _ -> `Fresh
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            match input_line ic with
-            (* a zero-length file has nothing to lose: it is what
-               [Filename.temp_file] pre-creates, so open it fresh
-               silently rather than warning about every ephemeral
-               shard journal *)
-            | exception End_of_file -> `Fresh
-            | header -> (
-                match
-                  Scanf.sscanf header "{\"journal\": %S, \"version\": %d, \"config\": %S}"
-                    (fun _ v d -> (v, d))
-                with
-                | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
-                    `Rejected "malformed header"
-                | 1, d when d = digest ->
-                    (try
-                       while true do
-                         match parse_journal_line (input_line ic) with
-                         | Some (key, entry) -> Hashtbl.replace table key entry
-                         | None -> ()
-                       done
-                     with End_of_file -> ());
-                    `Replayed
-                | v, d ->
-                    `Rejected
-                      (if v <> 1 then Printf.sprintf "version %d" v
-                       else Printf.sprintf "config digest %s" d)))
+     knows checkpoints are being discarded, not used.  A zero-length
+     file has nothing to lose: it is what [Filename.temp_file]
+     pre-creates, so it opens fresh silently rather than warning about
+     every ephemeral shard journal. *)
+  let opened = scan_journal ~digest path ~entry:(Hashtbl.replace table) in
+  let rejected reason =
+    (match sink with Some s -> Sw_obs.Sink.incr s "journal.unreadable" | None -> ());
+    Printf.eprintf "swpm: journal %s unreadable (%s): starting fresh\n%!" path reason
   in
-  (match header_state with
-  | `Rejected reason ->
-      (match sink with
-      | Some s -> Sw_obs.Sink.incr s "journal.unreadable"
-      | None -> ());
-      Printf.eprintf "swpm: journal %s unreadable (%s): starting fresh\n%!" path reason
-  | `Fresh | `Replayed -> ());
-  let header_ok = header_state = `Replayed in
+  (match opened with
+  | Malformed_header -> rejected "malformed header"
+  | Bound_elsewhere { version; digest = d } ->
+      rejected
+        (if version <> 1 then Printf.sprintf "version %d" version
+         else Printf.sprintf "config digest %s" d)
+  | Absent | Empty | Replayable _ -> ());
   let oc =
-    if header_ok then begin
-      (* Crash recovery: a kill mid-write can leave a partial final
-         line with no newline.  Appending after it would glue the first
-         new entry onto the stale tail, silently losing both on the
-         next replay — so cut the file back to its last complete line
-         before appending. *)
-      (let ic = open_in_bin path in
-       let len = in_channel_length ic in
-       let contents = really_input_string ic len in
-       close_in ic;
-       if len > 0 && contents.[len - 1] <> '\n' then
-         let keep =
-           match String.rindex_opt contents '\n' with Some i -> i + 1 | None -> 0
-         in
-         Unix.truncate path keep);
-      open_out_gen [ Open_append; Open_creat ] 0o644 path
-    end
-    else begin
-      let oc = open_out path in
-      Printf.fprintf oc journal_header_fmt digest;
-      output_char oc '\n';
-      flush oc;
-      oc
-    end
+    match opened with
+    | Replayable { torn_at = Some 0 } | Absent | Empty | Malformed_header | Bound_elsewhere _ ->
+        (* (a torn header line carries no entries: rewrite it) *)
+        let oc = open_out_bin path in
+        output_string oc (header_line digest);
+        output_char oc '\n';
+        flush oc;
+        oc
+    | Replayable { torn_at } ->
+        (* Crash recovery: a kill mid-write can leave a partial final
+           line with no newline.  Appending after it would glue the
+           first new entry onto the stale tail, silently losing both on
+           the next replay — so cut the file back to its last complete
+           line before appending. *)
+        Option.iter (Unix.truncate path) torn_at;
+        open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
   in
   let lock = Mutex.create () in
   let hits = Atomic.make 0 in
@@ -664,22 +973,17 @@ let journal ?sink ~path config (inner : t) : journal =
   let observe key =
     match sink with Some s -> Sw_obs.Sink.incr s key | None -> ()
   in
-  let write_line key entry =
-    let v = key.jk_variant in
-    let status, cycles, machine_us, events, jbackend, reason =
-      match entry with
-      | Journal_ok { cycles; machine_us; machine_events } ->
-          ("ok", cycles, machine_us, machine_events, "", "")
-      | Journal_infeasible { jbackend; jreason } ->
-          ("infeasible", 0.0, 0.0, 0, jbackend, jreason)
-    in
-    Printf.fprintf oc journal_line_fmt key.jk_kernel key.jk_elems key.jk_vw
-      v.Kernel.grain v.Kernel.unroll v.Kernel.active_cpes v.Kernel.double_buffer status
-      cycles machine_us events jbackend reason;
-    output_char oc '\n';
-    (* flush per line: a kill between lines loses at most the point in
-       flight, never a committed one *)
-    flush oc
+  let line = Buffer.create 256 in
+  let record key entry =
+    Mutex.protect lock (fun () ->
+        Hashtbl.replace table key entry;
+        Buffer.clear line;
+        encode_entry line key entry;
+        Buffer.add_char line '\n';
+        Buffer.output_buffer oc line;
+        (* flush per line: a kill between lines loses at most the point
+           in flight, never a committed one *)
+        flush oc)
   in
   let module J = struct
     let name = Printf.sprintf "journal(%s)" I.name
@@ -700,13 +1004,7 @@ let journal ?sink ~path config (inner : t) : journal =
             jk_variant = variant;
           }
         in
-        let cached =
-          Mutex.lock lock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock lock)
-            (fun () -> Hashtbl.find_opt table key)
-        in
-        match cached with
+        match Mutex.protect lock (fun () -> Hashtbl.find_opt table key) with
         | Some entry -> (
             Atomic.incr hits;
             observe "journal.hits";
@@ -726,29 +1024,16 @@ let journal ?sink ~path config (inner : t) : journal =
                    resumed run must re-assess it *)
                 r
             | Assessed v ->
-                let entry =
-                  Journal_ok
-                    {
-                      cycles = v.cycles;
-                      machine_us = v.cost.machine_us;
-                      machine_events = v.cost.machine_events;
-                    }
-                in
-                Mutex.lock lock;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock lock)
-                  (fun () ->
-                    Hashtbl.replace table key entry;
-                    write_line key entry);
+                record key
+                  (Journal_ok
+                     {
+                       cycles = v.cycles;
+                       machine_us = v.cost.machine_us;
+                       machine_events = v.cost.machine_events;
+                     });
                 r
             | Infeasible e ->
-                let entry = Journal_infeasible { jbackend = e.backend; jreason = e.reason } in
-                Mutex.lock lock;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock lock)
-                  (fun () ->
-                    Hashtbl.replace table key entry;
-                    write_line key entry);
+                record key (Journal_infeasible { jbackend = e.backend; jreason = e.reason });
                 r)
       end
   end in
@@ -780,20 +1065,12 @@ let journal_key_of (kernel : Kernel.t) (variant : Kernel.variant) =
     jk_variant = variant;
   }
 
-let journal_header_line config =
-  Printf.sprintf journal_header_fmt (config_digest config)
+let journal_header_line config = header_line (config_digest config)
 
 let journal_entry_line key entry =
-  let v = key.jk_variant in
-  let status, cycles, machine_us, events, jbackend, reason =
-    match entry with
-    | Journal_ok { cycles; machine_us; machine_events } ->
-        ("ok", cycles, machine_us, machine_events, "", "")
-    | Journal_infeasible { jbackend; jreason } -> ("infeasible", 0.0, 0.0, 0, jbackend, jreason)
-  in
-  Printf.sprintf journal_line_fmt key.jk_kernel key.jk_elems key.jk_vw v.Kernel.grain
-    v.Kernel.unroll v.Kernel.active_cpes v.Kernel.double_buffer status cycles machine_us
-    events jbackend reason
+  let b = Buffer.create 256 in
+  encode_entry b key entry;
+  Buffer.contents b
 
 type journal_issue =
   | Journal_mismatched of { path : string; expected : string; found : string }
@@ -805,52 +1082,35 @@ let journal_issue_string = function
   | Journal_unreadable { path; reason } ->
       Printf.sprintf "journal %s is unreadable: %s" path reason
 
+(* [scan_journal] with its outcome as a typed issue; [entry] has seen
+   every entry of an [Ok] file and none of an [Error] one. *)
+let read_journal ~digest path ~entry =
+  match scan_journal ~digest path ~entry with
+  | Replayable _ -> Ok ()
+  | Absent -> Ok () (* never created: nothing to replay *)
+  | Empty ->
+      (* a zero-length journal is not a journal: surface it rather than
+         silently reporting an empty result set *)
+      Error (Journal_unreadable { path; reason = "empty file" })
+  | Malformed_header -> Error (Journal_unreadable { path; reason = "malformed header" })
+  | Bound_elsewhere { version; digest = d } ->
+      let found = if version <> 1 then Printf.sprintf "<version %d>" version else d in
+      Error (Journal_mismatched { path; expected = digest; found })
+
 let journal_read ~config path =
-  let digest = config_digest config in
-  match open_in path with
-  | exception Sys_error _ -> Ok [] (* never created: nothing to replay *)
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match input_line ic with
-          | exception End_of_file ->
-              (* a zero-length journal is not a journal: surface it
-                 rather than silently reporting an empty result set *)
-              Error (Journal_unreadable { path; reason = "empty file" })
-          | header -> (
-              match
-                Scanf.sscanf header "{\"journal\": %S, \"version\": %d, \"config\": %S}"
-                  (fun _ v d -> (v, d))
-              with
-              | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
-                  Error (Journal_unreadable { path; reason = "malformed header" })
-              | 1, d when d = digest ->
-                  let entries = ref [] in
-                  (try
-                     while true do
-                       (* a truncated tail line (kill mid-write) parses as
-                          nothing and is dropped, same as the resume path *)
-                       match parse_journal_line (input_line ic) with
-                       | Some kv -> entries := kv :: !entries
-                       | None -> ()
-                     done
-                   with End_of_file -> ());
-                  Ok (List.rev !entries)
-              | v, d ->
-                  let found = if v <> 1 then Printf.sprintf "<version %d>" v else d in
-                  Error (Journal_mismatched { path; expected = digest; found })))
+  let entries = ref [] in
+  read_journal ~digest:(config_digest config) path ~entry:(fun key e ->
+      entries := (key, e) :: !entries)
+  |> Result.map (fun () -> List.rev !entries)
 
 let journal_merge ?on_issue ~config paths =
-  let merged : (journal_key, journal_entry) Hashtbl.t = Hashtbl.create 256 in
+  let digest = config_digest config in
+  let merged = table_for paths in
+  let first_written key e = if not (Hashtbl.mem merged key) then Hashtbl.add merged key e in
   List.iter
     (fun path ->
-      match journal_read ~config path with
-      | Ok entries ->
-          List.iter
-            (fun (key, entry) ->
-              if not (Hashtbl.mem merged key) then Hashtbl.add merged key entry)
-            entries
+      match read_journal ~digest path ~entry:first_written with
+      | Ok () -> ()
       | Error issue -> (
           match (on_issue, issue) with
           | Some f, _ -> f issue (* the caller decides; the file contributes nothing *)

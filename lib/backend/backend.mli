@@ -298,7 +298,29 @@ val fallback : ?sink:Sw_obs.Sink.t -> t list -> t
     parameters is discarded rather than replayed.  A truncated final
     line — the kill-mid-write case — is ignored on replay, losing at
     most the single point in flight.  [Cut_off] results are never
-    journaled (they depend on the caller's budget, not the point). *)
+    journaled (they depend on the caller's budget, not the point).
+
+    {2 Line format}
+
+    The header, then one line per entry (shown wrapped):
+{v
+{"journal": "swpm", "version": 1, "config": "<digest>"}
+{"kernel": "vector-add", "elems": 65536, "vw": 4, "grain": 64, "unroll": 2,
+ "cpes": 64, "db": true, "status": "ok", "cycles": 18463.25,
+ "machine_us": 12.5, "events": 930, "backend": "", "reason": ""}
+v}
+    Strings are OCaml literals (["%S"]: [String.escaped], so non-ASCII
+    bytes read as [\ddd]), ints decimal, bools [true]/[false], floats
+    ["%.17g"].  An [infeasible] line carries [backend] and [reason] and
+    zeros for the numbers; an [ok] line the reverse.  These are the
+    bytes of the [Printf] formats every earlier build wrote, so journals
+    replay across builds.  A reader accepts what the mirror-image
+    [Scanf] format accepted: a space matches any run of blanks, ints
+    may carry a sign and ['_'] separators, floats are ["%f"] tokens, and
+    bytes after the closing brace are ignored.  Every strict prefix of
+    a line (a torn tail) is rejected, and so is a non-finite float
+    (["inf"], ["nan"]): ["%f"] never read one, so such an entry replays
+    as nothing and its point is re-assessed. *)
 
 type journal
 
@@ -330,8 +352,8 @@ val journal_close : journal -> unit
     The sharded tuner fans one search out across worker processes, each
     appending to its own journal; the coordinator then merges those
     files into one result set {e without} opening them for appending.
-    These readers share the resume parser above: the same header/digest
-    check, the same per-line Scanf, the same tolerance for a truncated
+    These readers share the resume reader above: the same header/digest
+    check, the same line decoder, the same tolerance for a truncated
     final line. *)
 
 type journal_key = {
@@ -383,6 +405,11 @@ val journal_entry_line : journal_key -> journal_entry -> string
 (** The exact line (no newline) {!journal} appends for one resolved
     assessment — exposed so tests and tools can craft journal files
     byte-compatible with the writer. *)
+
+val journal_parse_line : string -> (journal_key * journal_entry) option
+(** The decoder every journal reader applies to one line (no newline):
+    the inverse of {!journal_entry_line}, [None] for anything else (a
+    torn tail, a non-finite float, an unknown status). *)
 
 val journal_read :
   config:Sw_sim.Config.t ->

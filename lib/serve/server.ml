@@ -402,12 +402,12 @@ let serve ?(config = default_config) ?pool state ~input ~output =
 
    The loop multiplexes with [select] over the listener and every
    connected client, so a second client connecting while the first is
-   mid-session is accepted and served interleaved (batch by batch)
-   instead of queueing behind the first connection's EOF.  The request
-   log is opened — and its unfinished requests replayed — on the first
-   accepted connection, which is therefore the one that receives the
-   [resumed] responses, exactly as the old one-connection-at-a-time
-   loop behaved. *)
+   mid-session is accepted and served interleaved (batch by batch,
+   round-robin over the ready clients) instead of queueing behind the
+   first connection's EOF.  The request log is opened — and its
+   unfinished requests replayed — on the first accepted connection,
+   which is therefore the one that receives the [resumed] responses,
+   exactly as the old one-connection-at-a-time loop behaved. *)
 
 type client = { cr : reader; out : out_channel }
 
@@ -450,11 +450,25 @@ let serve_socket ?(config = default_config) ?pool state ~path =
     end
   in
   let shutdown = ref false in
+  (* the client served last: the next turn starts after it *)
+  let last = ref None in
   let drop_client c =
+    (match !last with
+    | Some l when l == c ->
+        (* hand the place to the predecessor (none when [c] came first),
+           so the next turn still starts with the client after [c] *)
+        let rec pred prev = function
+          | c' :: _ when c' == c -> prev
+          | c' :: rest -> pred (Some c') rest
+          | [] -> None
+        in
+        last := pred None !clients
+    | _ -> ());
     clients := List.filter (fun c' -> c' != c) !clients;
     close_client c
   in
   let serve_client c =
+    last := Some c;
     match read_batch config c.cr with
     | [] -> drop_client c
     | lines ->
@@ -464,25 +478,37 @@ let serve_socket ?(config = default_config) ?pool state ~path =
         (* responses went nowhere: the client is gone, reclaim the slot *)
         if !dead then drop_client c
   in
+  (* connection order, rotated to start after the client served last *)
+  let rotation () =
+    match !last with
+    | None -> !clients
+    | Some l ->
+        let rec split before = function
+          | [] -> !clients
+          | c :: after when c == l -> after @ List.rev (c :: before)
+          | c :: after -> split (c :: before) after
+        in
+        split [] !clients
+  in
+  (* One turn serves every ready client at most one batch, round-robin:
+     a client that keeps sending cannot starve the others. *)
+  let turn cs =
+    (* a line already buffered in some reader is invisible to select:
+       poll instead of blocking, so that client is served this turn *)
+    let timeout = if List.exists (fun c -> has_buffered_line c.cr) cs then 0.0 else -1.0 in
+    match Unix.select (srv :: List.map (fun c -> c.cr.fd) cs) [] [] timeout with
+    | readable, _, _ ->
+        if List.mem srv readable then accept_client ~block:false;
+        List.iter
+          (fun c ->
+            if (not !shutdown) && (has_buffered_line c.cr || List.mem c.cr.fd readable) then
+              serve_client c)
+          cs
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  in
   let rec loop () =
-    if !shutdown then ()
-    else begin
-      (match !clients with
-      | [] -> accept_client ~block:true
-      | cs -> (
-          (* a line already buffered in some reader would be invisible
-             to select — serve that client first *)
-          match List.find_opt (fun c -> has_buffered_line c.cr) cs with
-          | Some c -> serve_client c
-          | None -> (
-              let fds = srv :: List.map (fun c -> c.cr.fd) cs in
-              match Unix.select fds [] [] (-1.0) with
-              | readable, _, _ -> (
-                  if List.mem srv readable then accept_client ~block:false;
-                  match List.find_opt (fun c -> List.mem c.cr.fd readable) cs with
-                  | Some c -> serve_client c
-                  | None -> ())
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())));
+    if not !shutdown then begin
+      (match rotation () with [] -> accept_client ~block:true | cs -> turn cs);
       loop ()
     end
   in

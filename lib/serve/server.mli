@@ -92,7 +92,10 @@ val serve_socket :
     the listener and every connected client, so a client connecting
     while another is mid-session is accepted immediately and served
     interleaved, batch by batch, over the same shared state — not
-    queued behind the first connection's EOF.  The request log is
+    queued behind the first connection's EOF.  Each turn serves every
+    ready client at most one batch, round-robin from the client after
+    the one served last, so a client that keeps sending cannot starve
+    the others.  The request log is
     opened (and its unfinished requests replayed) on the first accepted
     connection.  A [shutdown] request from any client stops the whole
     loop; otherwise serving continues across connect/disconnect cycles

@@ -21,20 +21,38 @@ let canonical_key (p : Space.point) =
   Printf.sprintf "g%d|u%d|db%b" p.Space.grain p.Space.unroll p.Space.double_buffer
 
 (* FNV-1a, 64-bit: fixed constants, byte-at-a-time — stable across
-   versions and architectures, and cheap enough to assign a million
-   points in tens of milliseconds. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+   versions and architectures.  The shard is the hash's low 63 bits
+   mod [shards], and the low 63 bits of a product mod 2^64 depend only
+   on the low 63 bits of its factors, so the whole hash runs in native
+   ints (arithmetic mod 2^63): no boxed [Int64] per byte.  The bytes
+   are those of {!canonical_key}, fed without building the string. *)
+let fnv_offset = Int64.to_int 0xcbf29ce484222325L
+
+let fnv_byte h c = (h lxor Char.code c) * 0x100000001b3
+
+let fnv_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := fnv_byte !h s.[i]
+  done;
   !h
+
+(* the bytes of [string_of_int n] *)
+let fnv_int h n =
+  (* digits of [n <= 0], most significant first (no overflow at min_int) *)
+  let rec digits h n =
+    let h = if n <= -10 then digits h (n / 10) else h in
+    fnv_byte h (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+  in
+  if n < 0 then digits (fnv_byte h '-') n else digits h (-n)
 
 let assign ~shards p =
   if shards < 1 then invalid_arg "Shard.assign: shards must be >= 1";
-  Int64.to_int (Int64.rem (Int64.logand (fnv1a64 (canonical_key p)) Int64.max_int)
-                  (Int64.of_int shards))
+  let h = fnv_int (fnv_byte fnv_offset 'g') p.Space.grain in
+  let h = fnv_int (fnv_string h "|u") p.Space.unroll in
+  let h = fnv_string h (if p.Space.double_buffer then "|dbtrue" else "|dbfalse") in
+  (* the unsigned low 63 bits, as the 64-bit hash masked with max_int *)
+  Int64.to_int (Int64.rem (Int64.logand (Int64.of_int h) Int64.max_int) (Int64.of_int shards))
 
 let mine ~shard ~shards points =
   if shard < 0 || shard >= shards then invalid_arg "Shard.mine: shard out of range";
@@ -119,9 +137,11 @@ let ignore_sigpipe () =
 (* Worker side: a Search.link over the process's own stdin/stdout.
    [current] drains whatever cutoff lines the coordinator has sent so
    far (non-blocking; the last one wins is the smallest, but take min
-   anyway to be robust to reordering); [publish] writes an incumbent
-   line.  The coordinator vanishing mid-run is not fatal to the worker
-   — the journal, not the pipe, is the result.
+   anyway to be robust to reordering) — at most once per
+   [drain_interval_s], since a drain is a [select] syscall and
+   strategies poll once per point; [publish] writes an incumbent line.
+   The coordinator vanishing mid-run is not fatal to the worker — the
+   journal, not the pipe, is the result.
 
    [current] doubles as the liveness channel: strategies poll it at
    least once per assessment, so emitting a numbered heartbeat line
@@ -130,6 +150,10 @@ let ignore_sigpipe () =
    progress deadline.  [drop_every]/[dup_every] are chaos hooks: they
    consume/repeat sequence numbers exactly as a lossy transport would,
    which is what makes the dropped-line counter testable. *)
+
+(* Cutoffs are advisory: one read up to this late costs verifications,
+   never the argmin. *)
+let drain_interval_s = 0.001
 
 let worker_link ?(input = Unix.stdin) ?(output = Unix.stdout) ?(heartbeat_s = 0.25)
     ?drop_every ?dup_every () =
@@ -175,31 +199,28 @@ let worker_link ?(input = Unix.stdin) ?(output = Unix.stdout) ?(heartbeat_s = 0.
         | Some (Incumbent _ | Heartbeat _ | Done _) | None -> ())
       (take_lines buf)
   in
-  let heartbeat () =
-    if heartbeat_s > 0.0 then begin
-      let now = Unix.gettimeofday () in
-      if now -. !last_hb >= heartbeat_s then begin
-        last_hb := now;
-        let s = !seq in
-        incr seq;
-        write_line (encode (Heartbeat { seq = s }))
-      end
+  let heartbeat now =
+    if heartbeat_s > 0.0 && now -. !last_hb >= heartbeat_s then begin
+      last_hb := now;
+      let s = !seq in
+      incr seq;
+      write_line (encode (Heartbeat { seq = s }))
     end
   in
+  let last_drain = ref neg_infinity in
   let current () =
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        drain ();
-        heartbeat ();
+    Mutex.protect lock (fun () ->
+        let now = Unix.gettimeofday () in
+        (* (a clock stepped backwards drains at once rather than never) *)
+        if Float.abs (now -. !last_drain) >= drain_interval_s then begin
+          last_drain := now;
+          drain ()
+        end;
+        heartbeat now;
         !remote)
   in
   let publish cycles =
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
+    Mutex.protect lock (fun () ->
         let s = !seq in
         incr seq;
         incr sent;

@@ -75,7 +75,10 @@ val worker_link :
   Search.link
 (** A {!Search.link} over the worker's own pipes (default
     stdin/stdout).  [current] drains pending [Cutoff] lines without
-    blocking and returns the smallest seen; [publish] writes a
+    blocking — at most once per millisecond, so a cutoff becomes
+    visible within 1 ms of its arrival rather than at the very next
+    poll (cutoffs are advisory; a drain per point would cost a [select]
+    syscall per point) — and returns the smallest seen; [publish] writes a
     sequence-numbered [Incumbent] line.  [current] also emits a
     [Heartbeat] line once per [heartbeat_s] (default 0.25s; 0 disables)
     — strategies poll the link at least once per assessment, so

@@ -26,6 +26,7 @@ let suites =
     Test_analysis.tests;
     Test_accuracy.tests;
     Test_backend.tests;
+    Test_journal.tests;
     Test_tuning.tests;
     Test_search.tests;
     Test_features.tests;

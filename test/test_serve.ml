@@ -806,6 +806,77 @@ let test_server_socket_two_clients () =
   Alcotest.(check int) "four responses served" 4 stats.Server.served;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
 
+(* A client that keeps sending cannot starve another: a turn serves
+   each ready client at most one batch, starting after the client served
+   last.  Client [a] pipelines a slow request and a flood of pings;
+   while the daemon works on the slow one, [b] asks for metrics.  The
+   responses counted when [b] is answered are the two handshakes plus at
+   most one batch of [a]'s; serving the first ready client first would
+   answer the whole flood before [b]. *)
+let test_server_socket_round_robin () =
+  let path = Filename.temp_file "serve_sock_rr" ".sock" in
+  Sys.remove path;
+  let state = Handler.create () in
+  let server = Domain.spawn (fun () -> Server.serve_socket state ~path) in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (Sys.file_exists path) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  in
+  let a = connect () in
+  let b = connect () in
+  (* both connections accepted before the flood *)
+  send_line a {|{"id": "a0", "op": "ping"}|};
+  ignore (recv_line a);
+  send_line b {|{"id": "b0", "op": "ping"}|};
+  ignore (recv_line b);
+  let flood = 200 in
+  let burst =
+    String.concat ""
+      (({|{"id": "slow", "op": "predict", "kernel": "kmeans", "backend": "sim", "scale": 64}|}
+        ^ "\n")
+      :: List.init flood (fun i -> Printf.sprintf {|{"id": %d, "op": "ping"}|} i ^ "\n"))
+  in
+  let rec write_all off =
+    if off < String.length burst then
+      write_all (off + Unix.write_substring a burst off (String.length burst - off))
+  in
+  write_all 0;
+  send_line b {|{"id": "b1", "op": "metrics"}|};
+  let resp = parse_resp (recv_line b) in
+  let text =
+    match Option.bind (Json.member "result" resp) (Json.member "text") with
+    | Some (Json.Str t) -> t
+    | _ -> Alcotest.fail "metrics response has no text"
+  in
+  let responses =
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ "swpm_serve_responses"; n ] -> float_of_string_opt n
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  let bound = 2 + Server.default_config.Server.queue_capacity in
+  (match responses with
+  | Some n when int_of_float n <= bound -> ()
+  | Some n -> Alcotest.failf "b answered after %.0f responses (at most %d when fair)" n bound
+  | None -> Alcotest.fail "no swpm_serve_responses in the metrics");
+  (* a's flood is still answered in full *)
+  for _ = 0 to flood do
+    ignore (recv_line a)
+  done;
+  send_line b {|{"id": "bye", "op": "shutdown"}|};
+  ignore (recv_line b);
+  let stats = Domain.join server in
+  Unix.close a;
+  Unix.close b;
+  Alcotest.(check int) "every request answered" (flood + 5) stats.Server.served
+
 let tests =
   ( "serve",
     [
@@ -848,6 +919,8 @@ let tests =
         test_server_resume_rebuilds_surrogate_cache;
       Alcotest.test_case "socket serves two concurrent clients" `Quick
         test_server_socket_two_clients;
+      Alcotest.test_case "socket serves ready clients round-robin" `Quick
+        test_server_socket_round_robin;
       Alcotest.test_case "deadline admission refuses, degrades, admits" `Quick
         test_server_deadline_admission;
       Alcotest.test_case "dead client drops the connection, not the daemon" `Quick

@@ -46,6 +46,28 @@ let test_assign_stable () =
      Alcotest.fail "shards=0 accepted"
    with Invalid_argument _ -> ())
 
+(* The hash over its string, in boxed Int64 as first written: [assign]
+   hashes the same bytes in native ints without building the key. *)
+let reference_assign ~shards point =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    (Shard.canonical_key point);
+  Int64.to_int (Int64.rem (Int64.logand !h Int64.max_int) (Int64.of_int shards))
+
+let prop_assign_reference =
+  QCheck.Test.make ~count:2000 ~name:"assign = FNV-1a of the canonical key"
+    QCheck.(
+      make
+        ~print:(fun (p, shards) -> Printf.sprintf "%s / %d" (Shard.canonical_key p) shards)
+        Gen.(
+          pair
+            (map3 pt
+               (oneof [ small_nat; int; oneofl [ min_int; max_int; 0; -1 ] ])
+               (oneof [ small_nat; int ]) bool)
+            (oneof [ int_range 1 64; int_range 1 max_int ])))
+    (fun (point, shards) -> Shard.assign ~shards point = reference_assign ~shards point)
+
 let test_mine_partitions () =
   let points =
     Space.enumerate ~grains:(Space.range 1 50) ~unrolls:(Space.range 1 8)
@@ -265,6 +287,67 @@ let test_link_advisory () =
   Alcotest.(check (float 0.)) "tight remote cutoff keeps the argmin" best
     (Option.get (best_priced pruned))
 
+(* The worker side of the pipe link drains its input on a time budget,
+   not on every poll: a cutoff written to it shows up once the drain
+   interval has passed, and heartbeats keep their schedule. *)
+let with_pipes f =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close [ in_r; in_w; out_r; out_w ])
+    (fun () -> f ~in_r ~in_w ~out_r ~out_w)
+
+let test_link_drain_interval () =
+  with_pipes (fun ~in_r ~in_w ~out_r:_ ~out_w ->
+      let link = Shard.worker_link ~input:in_r ~output:out_w ~heartbeat_s:0.0 () in
+      Alcotest.(check (option (float 0.))) "nothing sent yet" None (link.Search.current ());
+      let send c =
+        let line = Shard.encode (Shard.Cutoff c) ^ "\n" in
+        ignore (Unix.write_substring in_w line 0 (String.length line) : int)
+      in
+      send 500.0;
+      send 300.0;
+      send 400.0;
+      Unix.sleepf 0.005;
+      Alcotest.(check (option (float 0.))) "smallest cutoff after the interval" (Some 300.0)
+        (link.Search.current ());
+      send 250.0;
+      Unix.sleepf 0.005;
+      Alcotest.(check (option (float 0.))) "a later, smaller cutoff" (Some 250.0)
+        (link.Search.current ()))
+
+let test_link_heartbeat_schedule () =
+  with_pipes (fun ~in_r ~in_w:_ ~out_r ~out_w ->
+      let heartbeat_s = 0.02 and span_s = 0.3 in
+      let link = Shard.worker_link ~input:in_r ~output:out_w ~heartbeat_s () in
+      (* poll once per "point" of about 30 us, as a search does *)
+      let t0 = Unix.gettimeofday () in
+      while Unix.gettimeofday () -. t0 < span_s do
+        ignore (link.Search.current ());
+        let t = Unix.gettimeofday () in
+        while Unix.gettimeofday () -. t < 30e-6 do () done
+      done;
+      Unix.set_nonblock out_r;
+      let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+      (try
+         while true do
+           match Unix.read out_r chunk 0 4096 with
+           | 0 -> raise Exit
+           | n -> Buffer.add_subbytes buf chunk 0 n
+         done
+       with Exit | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+      let seqs =
+        List.filter_map
+          (fun line ->
+            match Shard.decode line with Some (Shard.Heartbeat { seq }) -> Some seq | _ -> None)
+          (String.split_on_char '\n' (Buffer.contents buf))
+      in
+      let n = List.length seqs in
+      let expected = int_of_float (span_s /. heartbeat_s) in
+      if n < expected / 2 || n > expected + 1 then
+        Alcotest.failf "%d heartbeats in %.2f s at one per %.2f s" n span_s heartbeat_s;
+      Alcotest.(check (list int)) "numbered from 0" (List.init n Fun.id) seqs)
+
 (* ------------------------------------------------------------------ *)
 (* Axis parsing (the CLI surface the bench spaces come through) *)
 
@@ -330,6 +413,7 @@ let tests =
   ( "shard",
     [
       Alcotest.test_case "assign is a stable pure hash" `Quick test_assign_stable;
+      QCheck_alcotest.to_alcotest prop_assign_reference;
       Alcotest.test_case "mine partitions the space exactly" `Quick test_mine_partitions;
       Alcotest.test_case "merge keeps the first-written duplicate" `Quick
         test_merge_first_written_wins;
@@ -338,6 +422,9 @@ let tests =
         test_truncated_tail;
       Alcotest.test_case "protocol lines round-trip bit-exactly" `Quick test_protocol_roundtrip;
       Alcotest.test_case "cutoff link is advisory" `Slow test_link_advisory;
+      Alcotest.test_case "link drains cutoffs on a 1 ms budget" `Quick test_link_drain_interval;
+      Alcotest.test_case "link polled per point keeps its heartbeat" `Quick
+        test_link_heartbeat_schedule;
       Alcotest.test_case "axis syntax" `Quick test_axis_syntax;
       Alcotest.test_case "sharded outcome fields match" `Quick test_sharded_outcome_fields;
     ] )
