@@ -546,25 +546,42 @@ type tune_result = {
   tr_degraded : bool;
 }
 
-let strategy_of t ?rank ~n_points () =
-  let shortlist_k () = if t.t_shortlist > 0 then t.t_shortlist else Stdlib.max 1 (n_points / 4) in
-  if t.t_robust > 0 || t.t_strategy = "robust" then
-    let n = if t.t_robust > 0 then t.t_robust else 8 in
-    let* spec = fault_spec_of t.t_fault_level in
-    Ok
-      (Sw_tuning.Search.robust ?rank ~k:(shortlist_k ()) ~seeds:(List.init n (fun i -> 1 + i))
-         ~spec ())
-  else
-    match t.t_strategy with
-    | "exhaustive" -> Ok Sw_tuning.Search.exhaustive
-    | "shortlist" -> Ok (Sw_tuning.Search.shortlist ?rank ~k:(shortlist_k ()) ())
-    | "adaptive" | "adaptive-shortlist" ->
-        Ok (Sw_tuning.Search.adaptive_shortlist ?rank ~k:(shortlist_k ()) ())
-    | "halving" | "successive-halving" -> Ok (Sw_tuning.Search.successive_halving ~rungs:t.t_rungs)
-    | s ->
-        Error
-          (Printf.sprintf
-             "unknown strategy %S (available: exhaustive, shortlist, adaptive, halving, robust)" s)
+(* The one place a tune request becomes a search: its backend and rank
+   backend resolved through this state's shared memo (so a surrogate
+   ranker trains once per process, not once per request) and its
+   strategy over [n_points] points.  The in-process tune, the sharded
+   coordinator (which resolves up front so a typo surfaces as a
+   readable request error, not as N worker failures) and every shard
+   worker go through here, so all of them name the strategy
+   identically. *)
+let resolve_search state t ~n_points =
+  let* canonical, shared = backend state t.t_backend in
+  let* rank =
+    match t.t_rank with
+    | None -> Ok None
+    | Some name ->
+        let* _, r = backend state name in
+        Ok (Some r)
+  in
+  let k = if t.t_shortlist > 0 then t.t_shortlist else Stdlib.max 1 (n_points / 4) in
+  let* strategy =
+    if t.t_robust > 0 || t.t_strategy = "robust" then
+      let n = if t.t_robust > 0 then t.t_robust else 8 in
+      let* spec = fault_spec_of t.t_fault_level in
+      Ok (Sw_tuning.Search.robust ?rank ~k ~seeds:(List.init n (fun i -> 1 + i)) ~spec ())
+    else
+      match t.t_strategy with
+      | "exhaustive" -> Ok Sw_tuning.Search.exhaustive
+      | "shortlist" -> Ok (Sw_tuning.Search.shortlist ?rank ~k ())
+      | "adaptive" | "adaptive-shortlist" -> Ok (Sw_tuning.Search.adaptive_shortlist ?rank ~k ())
+      | "halving" | "successive-halving" ->
+          Ok (Sw_tuning.Search.successive_halving ~rungs:t.t_rungs)
+      | s ->
+          Error
+            (Printf.sprintf
+               "unknown strategy %S (available: exhaustive, shortlist, adaptive, halving, robust)" s)
+  in
+  Ok (canonical, shared, strategy)
 
 (* The one place the search space is built: the registry entry's axes,
    each optionally overridden by a request axis spec (Space.parse_axis
@@ -626,18 +643,7 @@ let shard_journals t ~workers =
 let sharded_tune state t config kernel points =
   let t = resolve_seed t in
   let workers = t.t_workers in
-  let* canonical, _ = backend state t.t_backend in
-  (* Validate the strategy (and rank backend) here so a typo surfaces
-     as a readable request error, not as N worker failures; the
-     resolved rank also names the strategy exactly as in-process. *)
-  let* rank =
-    match t.t_rank with
-    | None -> Ok None
-    | Some name ->
-        let* _, r = backend state name in
-        Ok (Some r)
-  in
-  let* strategy = strategy_of t ?rank ~n_points:(List.length points) () in
+  let* canonical, _, strategy = resolve_search state t ~n_points:(List.length points) in
   let journals = shard_journals t ~workers in
   let cleanup () =
     (* ephemeral journals only: a --checkpoint'ed tune keeps its shard
@@ -683,19 +689,7 @@ let tune state ?(degrade = false) ?pool ?obs t =
          quarter of the space.  The response is marked degraded. *)
       let* canonical, shared = backend state "model" in
       Ok (canonical, shared, Sw_tuning.Search.shortlist ~k:(Stdlib.max 1 (n_points / 4)) ())
-    else
-      let* canonical, shared = backend state t.t_backend in
-      (* the rank backend shares this state's memo too, so a surrogate
-         ranker trains once per process, not once per request *)
-      let* rank =
-        match t.t_rank with
-        | None -> Ok None
-        | Some name ->
-            let* _, shared_rank = backend state name in
-            Ok (Some shared_rank)
-      in
-      let* strategy = strategy_of t ?rank ~n_points () in
-      Ok (canonical, shared, strategy)
+    else resolve_search state t ~n_points
   in
   match
     Sw_tuning.Tuner.tune ~backend:shared ~strategy ?pool ?obs ?checkpoint:t.t_checkpoint config
@@ -791,15 +785,7 @@ let worker_main spec =
     let mine = Sw_tuning.Shard.mine ~shard ~shards points in
     (* a worker is its own process: fresh state, private memo caches *)
     let state = create () in
-    let* _, shared = backend state t.t_backend in
-    let* rank =
-      match t.t_rank with
-      | None -> Ok None
-      | Some name ->
-          let* _, r = backend state name in
-          Ok (Some r)
-    in
-    let* strategy = strategy_of t ?rank ~n_points:(List.length mine) () in
+    let* _, shared, strategy = resolve_search state t ~n_points:(List.length mine) in
     (* the chaos harness plants SWPM_CHAOS in our environment (and the
        supervisor stamps SWPM_CHAOS_INCARNATION on relaunch); honor
        whatever is armed for this shard in this incarnation *)
@@ -825,7 +811,7 @@ let worker_main spec =
         (function Sw_fault.Fault.Chaos.Dup_incumbents k -> Some k | _ -> None)
         actions
     in
-    let link = Sw_tuning.Shard.worker_link ?drop_every ?dup_every () in
+    let link, finish = Sw_tuning.Shard.worker_link ?drop_every ?dup_every () in
     let cpu0 = Sys.time () in
     let verify_rejected = ref 0 in
     let results, sstats =
@@ -863,7 +849,7 @@ let worker_main spec =
         ]
     in
     Backend.journal_close jnl;
-    Sw_tuning.Shard.emit_done stats;
+    finish stats;
     Ok ()
 
 (* --- timeline ----------------------------------------------------- *)

@@ -1,25 +1,24 @@
 module Backend = Sw_backend.Backend
 
+type stop = One_rung | Quiet_rung
+
+type score =
+  | Nominal
+  | Quantile of { seeds : int list; quantile : float; spec : Sw_fault.Fault.spec }
+
 type t =
   | Exhaustive
-  | Shortlist of { rank : Backend.t; k : int }
-  | Adaptive_shortlist of { rank : Backend.t; k : int }
+  | Ranked of { rank : Backend.t; k : int; stop : stop; score : score }
   | Successive_halving of { rungs : int }
-  | Robust of {
-      rank : Backend.t;
-      k : int;
-      seeds : int list;
-      quantile : float;
-      spec : Sw_fault.Fault.spec;
-    }
 
 let exhaustive = Exhaustive
 
-let shortlist ?(rank = Backend.static_model) ~k () = Shortlist { rank; k }
+let shortlist ?(rank = Backend.static_model) ~k () =
+  Ranked { rank; k; stop = One_rung; score = Nominal }
 
 let adaptive_shortlist ?(rank = Backend.static_model) ~k () =
   if k < 1 then invalid_arg "Search.adaptive_shortlist: k must be >= 1";
-  Adaptive_shortlist { rank; k }
+  Ranked { rank; k; stop = Quiet_rung; score = Nominal }
 
 let successive_halving ~rungs =
   if rungs < 1 then invalid_arg "Search.successive_halving: rungs must be >= 1";
@@ -30,17 +29,18 @@ let robust ?(rank = Backend.static_model) ~k ~seeds ?(quantile = 1.0)
   if seeds = [] then invalid_arg "Search.robust: seeds must be non-empty";
   if not (quantile > 0.0 && quantile <= 1.0) then
     invalid_arg "Search.robust: quantile must be in (0, 1]";
-  Robust { rank; k; seeds; quantile; spec }
+  Ranked { rank; k; stop = One_rung; score = Quantile { seeds; quantile; spec } }
 
 let name = function
   | Exhaustive -> "exhaustive"
-  | Shortlist { rank; k } -> Printf.sprintf "shortlist(%s,k=%d)" (Backend.name rank) k
-  | Adaptive_shortlist { rank; k } ->
-      Printf.sprintf "adaptive(%s,k=%d)" (Backend.name rank) k
-  | Successive_halving { rungs } -> Printf.sprintf "successive-halving(rungs=%d)" rungs
-  | Robust { rank; k; seeds; quantile; _ } ->
+  | Ranked { rank; k; stop = _; score = Quantile { seeds; quantile; _ } } ->
       Printf.sprintf "robust(%s,k=%d,seeds=%d,q=%.2f)" (Backend.name rank) k
         (List.length seeds) quantile
+  | Ranked { rank; k; stop = One_rung; score = Nominal } ->
+      Printf.sprintf "shortlist(%s,k=%d)" (Backend.name rank) k
+  | Ranked { rank; k; stop = Quiet_rung; score = Nominal } ->
+      Printf.sprintf "adaptive(%s,k=%d)" (Backend.name rank) k
+  | Successive_halving { rungs } -> Printf.sprintf "successive-halving(rungs=%d)" rungs
 
 type result_ =
   | Priced of Backend.verdict
@@ -69,6 +69,15 @@ let link_cutoff link local =
 
 let link_publish link cycles = match link with None -> () | Some l -> l.publish cycles
 
+(* Fold a completed verdict's cycles into the running incumbent,
+   publishing every strict improvement (its seeding included). *)
+let offer link incumbent c =
+  match !incumbent with
+  | Some b when c >= b -> ()
+  | _ ->
+      incumbent := Some c;
+      link_publish link c
+
 type stats = {
   strategy : string;
   pruned : int;
@@ -79,21 +88,36 @@ type stats = {
 let map_points ?pool f points =
   match pool with Some p -> Sw_util.Pool.map p f points | None -> List.map f points
 
-let observe_pruned obs n = match obs with Some sink when n > 0 -> Sw_obs.Sink.incr sink ~by:n "search.pruned" | _ -> ()
+(* Count the pruned results, bump ["search.pruned"], attach the stats. *)
+let finish ~obs ~strategy ?(rank_host_s = 0.0) ?(rank_machine_us = 0.0) results =
+  let pruned = List.fold_left (fun n -> function _, Pruned _ -> n + 1 | _ -> n) 0 results in
+  (match obs with
+  | Some sink when pruned > 0 -> Sw_obs.Sink.incr sink ~by:pruned "search.pruned"
+  | _ -> ());
+  (results, { strategy; pruned; rank_host_s; rank_machine_us })
+
+(* A liveness tick: [current] drains pipe input and lets a worker link
+   emit its periodic heartbeat.  The returned cutoff is discarded. *)
+let link_tick = function Some l -> ignore (l.current () : float option) | None -> ()
+
+(* The first [n] elements and the rest: one rung of a ranked order, or
+   the half of a successive-halving field that survives. *)
+let rec split n = function
+  | x :: rest when n > 0 ->
+      let first, rest = split (n - 1) rest in
+      (x :: first, rest)
+  | rest -> ([], rest)
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive: assess every point, in enumeration order — byte-for-byte
-   the pre-strategy tuner behaviour, at any pool size. *)
-
-(* [link] is never applied to exhaustive results — the contract is to
-   price every point — but it is still *ticked* once per assessment:
-   [current] drains pipe input and lets a worker link emit its periodic
-   heartbeat, so an exhaustive shard under supervision is observably
-   alive.  The returned cutoff is discarded; results are unchanged. *)
+   the pre-strategy tuner behaviour, at any pool size.  [link] is never
+   applied to exhaustive results — the contract is to price every
+   point — but it is still ticked once per assessment, so an exhaustive
+   shard under supervision is observably alive. *)
 let run_exhaustive ~backend ~active_cpes ?pool ?link config kernel points =
   map_points ?pool
     (fun point ->
-      (match link with Some l -> ignore (l.current () : float option) | None -> ());
+      link_tick link;
       let variant = Space.to_variant point ~active_cpes in
       match Backend.assess backend config kernel variant with
       | Ok v -> (point, Priced v)
@@ -101,27 +125,23 @@ let run_exhaustive ~backend ~active_cpes ?pool ?link config kernel points =
     points
 
 (* ------------------------------------------------------------------ *)
-(* Shortlist: rank the whole space with a cheap backend (pooled), then
-   pay the expensive backend only for the k most promising points —
-   visited best-ranked first, so the running incumbent's cycles become
-   the cutoff that lets later verifications abandon early.
+(* Ranked verification: rank the whole space with a cheap backend
+   (pooled), then pay the expensive backend only for the most promising
+   points — visited best-ranked first, so the running incumbent's cycles
+   become the cutoff that lets later verifications abandon early.
 
    Determinism: ranking is order-preserving under the pool, the sort is
-   total (predicted cycles, then enumeration index), and verification
-   is sequential, so the outcome is identical at any pool size. *)
+   total (predicted cycles, then enumeration index), verification is
+   sequential and the rung schedule depends only on verdicts (and the
+   advisory link), so the outcome is identical at any pool size. *)
 
-(* [cutoff_prune] (default true) lets the running incumbent's cycles
-   abandon verifications that provably can't win the *nominal* argmin.
-   The robust strategy turns it off: a point that is mediocre on the
-   quiet machine can still be the min-of-worst-case winner, so every
-   shortlisted survivor must be fully priced. *)
-(* The ranking pass shared by every shortlist flavour: assess the whole
-   space with the (cheap) rank backend under the pool, and return the
-   indexed results plus the verification order — a total sort by
-   (predicted cycles, enumeration index) over the rank-feasible points.
-   [rank_machine_us] bills whatever the ranker simulated (0 for the
-   static model; the training bill for the learned surrogate; per-point
-   runs if the simulator itself ranks). *)
+(* The ranking pass: assess the whole space with the (cheap) rank
+   backend under the pool, and return the indexed results plus the
+   verification order — a total sort by (predicted cycles, enumeration
+   index) over the rank-feasible points.  [rank_machine_us] bills
+   whatever the ranker simulated (0 for the static model; the training
+   bill for the learned surrogate; per-point runs if the simulator
+   itself ranks). *)
 let rank_space ~rank ~active_cpes ?pool ?link config kernel points =
   let wall0 = Unix.gettimeofday () in
   (* tick the link every 32 rankings (ranking backends are cheap and
@@ -160,119 +180,142 @@ let rank_space ~rank ~active_cpes ?pool ?link config kernel points =
   in
   (indexed, order, rank_host_s, rank_machine_us)
 
-(* Results in enumeration order: verified points from the table, points
-   the ranker rejected as Rejected, everything else pruned for free. *)
-let finish_shortlist ~strategy ~obs ~verdicts ~indexed ~rank_host_s ~rank_machine_us =
-  let pruned = ref 0 in
+(* Quantile scoring: re-assess every Priced point under each seeded
+   fault plan and score it by the [quantile] of its per-plan cycles
+   (1.0 = worst case).  The argmin downstream then picks the point whose
+   *bad days* are cheapest — min-of-worst-case — instead of the nominal
+   winner.  Plans are pure functions of (spec, seed, config), the
+   point x seed fan-out is order-preserving under the pool, and the
+   quantile comes from a total sort, so the outcome is identical at any
+   pool size. *)
+let quantile_of ~quantile sorted =
+  let n = Array.length sorted in
+  let idx =
+    Stdlib.min (n - 1)
+      (Stdlib.max 0 (int_of_float (Float.ceil (quantile *. float_of_int n)) - 1))
+  in
+  sorted.(idx)
+
+let score_quantile ~seeds ~quantile ~spec ~backend ~active_cpes ?pool ?obs ?link config kernel
+    results =
+  let plans = List.map (fun seed -> Sw_fault.Fault.plan ~spec ~seed config) seeds in
+  let survivors =
+    List.filter_map
+      (function i, (p, Priced v) -> Some (i, p, v) | _ -> None)
+      (List.mapi (fun i pr -> (i, pr)) results)
+  in
+  let jobs =
+    List.concat_map
+      (fun (i, p, _) -> List.map (fun plan -> (i, p, plan)) plans)
+      survivors
+  in
+  let assessed =
+    map_points ?pool
+      (fun (i, p, plan) ->
+        link_tick link;
+        (i, Backend.assess backend plan kernel (Space.to_variant p ~active_cpes)))
+      jobs
+  in
+  (match obs with
+  | Some sink -> Sw_obs.Sink.incr sink ~by:(List.length jobs) "search.robust_assessments"
+  | None -> ());
+  let scored =
+    List.map
+      (fun (i, p, (v : Backend.verdict)) ->
+        let mine = List.filter_map (fun (j, r) -> if j = i then Some r else None) assessed in
+        let cycles =
+          List.map
+            (function
+              | Ok (pv : Backend.verdict) -> pv.Backend.cycles
+              (* a plan that breaks the point entirely is the worst
+                 case there is *)
+              | Error _ -> Float.infinity)
+            mine
+        in
+        let extra_cost =
+          List.fold_left
+            (fun acc -> function Ok pv -> Backend.add_cost acc pv.Backend.cost | Error _ -> acc)
+            Backend.zero_cost mine
+        in
+        let sorted = Array.of_list cycles in
+        Array.sort Float.compare sorted;
+        let score = quantile_of ~quantile sorted in
+        (i, (p, Priced { v with Backend.cycles = score; cost = Backend.add_cost v.Backend.cost extra_cost })))
+      survivors
+  in
+  List.mapi (fun i pr -> match List.assoc_opt i scored with Some pr' -> pr' | None -> pr) results
+
+(* The one ranked-verification loop.  The ranked order is verified in
+   rungs of [k] points; [One_rung] stops after the first, [Quiet_rung]
+   after the first rung in which no verification strictly beat the
+   bar — min(local incumbent, link cutoff), read before each
+   verification.  While the bar is unset (no incumbent, no remote
+   cutoff) a rung never ends the search: seeding the first incumbent is
+   not an improvement, but a rung of rank-feasible points the verifier
+   rejected must not stop it either.  A remote cutoff counts as a bar,
+   so a shard whose every verification the global incumbent cuts off
+   stops after one rung instead of verifying its whole shard.
+
+   [Nominal] scoring verifies under the bar as a strict cutoff.
+   [Quantile] scoring turns cutoff pruning off — a point that loses
+   nominally can still be the min-of-worst-case winner, so every
+   verified point must be fully priced — and rescores the priced points
+   over the fault plans afterwards.  Incumbents are published through
+   the link either way. *)
+let run_ranked ~rank ~k ~stop ~score ~backend ~active_cpes ?pool ?obs ?link config kernel
+    points =
+  let indexed, order, rank_host_s, rank_machine_us =
+    rank_space ~rank ~active_cpes ?pool ?link config kernel points
+  in
+  let verdicts : (int, result_) Hashtbl.t = Hashtbl.create 16 in
+  let incumbent = ref None in
+  (* verify one point; true when it strictly beat the bar *)
+  let verify (i, p, _) =
+    let bar = link_cutoff link !incumbent in
+    let cutoff = match score with Nominal -> bar | Quantile _ -> None in
+    match Backend.assess_budget ?cutoff backend config kernel (Space.to_variant p ~active_cpes) with
+    | Backend.Assessed v ->
+        offer link incumbent v.Backend.cycles;
+        Hashtbl.replace verdicts i (Priced v);
+        (match bar with Some b -> v.Backend.cycles < b | None -> false)
+    | Backend.Infeasible e ->
+        Hashtbl.replace verdicts i (Rejected e);
+        false
+    | Backend.Cut_off { cost; _ } ->
+        Hashtbl.replace verdicts i (Pruned cost);
+        false
+  in
+  let rec rungs = function
+    | [] -> ()
+    | remaining ->
+        (match obs with Some sink -> Sw_obs.Sink.incr sink "search.rungs" | None -> ());
+        let rung, rest = split (Stdlib.max 1 k) remaining in
+        let improved = List.fold_left (fun improved x -> verify x || improved) false rung in
+        (match stop with
+        | One_rung -> ()
+        | Quiet_rung -> if improved || link_cutoff link !incumbent = None then rungs rest)
+  in
+  rungs order;
+  (* enumeration order: verified points from the table, points the
+     ranker's compile check rejected as Rejected, the rest pruned free *)
   let results =
     List.map
       (fun (i, p, r) ->
-        match Hashtbl.find_opt verdicts i with
-        | Some res ->
-            (match res with Pruned _ -> incr pruned | Priced _ | Rejected _ -> ());
-            (p, res)
-        | None -> (
-            match r with
-            | Error e -> (p, Rejected e)  (* the ranker's compile check rejected it *)
-            | Ok _ ->
-                incr pruned;
-                (p, Pruned Backend.zero_cost)))
+        match (Hashtbl.find_opt verdicts i, r) with
+        | Some res, _ -> (p, res)
+        | None, Error e -> (p, Rejected e)
+        | None, Ok _ -> (p, Pruned Backend.zero_cost))
       indexed
   in
-  observe_pruned obs !pruned;
-  (results, { strategy; pruned = !pruned; rank_host_s; rank_machine_us })
-
-let run_shortlist ?(cutoff_prune = true) ?link ~rank ~k ~backend ~active_cpes ?pool ?obs
-    config kernel points =
-  let indexed, order, rank_host_s, rank_machine_us =
-    rank_space ~rank ~active_cpes ?pool ?link config kernel points
+  let results =
+    match score with
+    | Nominal -> results
+    | Quantile { seeds; quantile; spec } ->
+        score_quantile ~seeds ~quantile ~spec ~backend ~active_cpes ?pool ?obs ?link config
+          kernel results
   in
-  let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
-  let keep = take (Stdlib.max 1 k) order in
-  let verdicts : (int, result_) Hashtbl.t = Hashtbl.create 16 in
-  let incumbent = ref None in
-  List.iter
-    (fun (i, p, _) ->
-      let variant = Space.to_variant p ~active_cpes in
-      let cutoff = if cutoff_prune then link_cutoff link !incumbent else None in
-      match Backend.assess_budget ?cutoff backend config kernel variant with
-      | Backend.Assessed v ->
-          (match !incumbent with
-          | Some c when v.Backend.cycles >= c -> ()
-          | _ ->
-              incumbent := Some v.Backend.cycles;
-              link_publish link v.Backend.cycles);
-          Hashtbl.replace verdicts i (Priced v)
-      | Backend.Infeasible e -> Hashtbl.replace verdicts i (Rejected e)
-      | Backend.Cut_off { cost; _ } -> Hashtbl.replace verdicts i (Pruned cost))
-    keep;
-  finish_shortlist
-    ~strategy:(name (Shortlist { rank; k }))
-    ~obs ~verdicts ~indexed ~rank_host_s ~rank_machine_us
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive shortlist: same ranking pass, but K is not a guess — the
-   ranked order is verified in rungs of k points and the search stops
-   as soon as the incumbent survives one whole rung without being
-   improved.  A perfectly-ranked space verifies exactly k points (the
-   seeding of the first incumbent does not count as an improvement); a
-   misranked one keeps paying, one rung at a time, until the ranking
-   proves itself — so the argmin is recovered whenever the true best is
-   ranked anywhere the growing prefix reaches, without hand-tuning K
-   per kernel.  Verification is sequential and the rung schedule
-   depends only on verdicts, so the outcome is pool-size
-   independent. *)
-
-let run_adaptive ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config kernel points =
-  let indexed, order, rank_host_s, rank_machine_us =
-    rank_space ~rank ~active_cpes ?pool ?link config kernel points
-  in
-  let verdicts : (int, result_) Hashtbl.t = Hashtbl.create 16 in
-  let incumbent = ref None in
-  let improved = ref false in
-  let verify (i, p, _) =
-    let variant = Space.to_variant p ~active_cpes in
-    match
-      Backend.assess_budget ?cutoff:(link_cutoff link !incumbent) backend config kernel variant
-    with
-    | Backend.Assessed v ->
-        (match !incumbent with
-        | Some c when v.Backend.cycles >= c -> ()
-        | Some _ ->
-            incumbent := Some v.Backend.cycles;
-            improved := true;
-            link_publish link v.Backend.cycles
-        | None ->
-            (* seeding the incumbent is not an improvement: a perfectly
-               ranked space must stop after its first rung *)
-            incumbent := Some v.Backend.cycles;
-            link_publish link v.Backend.cycles);
-        Hashtbl.replace verdicts i (Priced v)
-    | Backend.Infeasible e -> Hashtbl.replace verdicts i (Rejected e)
-    | Backend.Cut_off { cost; _ } -> Hashtbl.replace verdicts i (Pruned cost)
-  in
-  let rec split n = function
-    | x :: rest when n > 0 ->
-        let rung, rest = split (n - 1) rest in
-        (x :: rung, rest)
-    | rest -> ([], rest)
-  in
-  let rung_size = Stdlib.max 1 k in
-  let remaining = ref order in
-  let stop = ref false in
-  while (not !stop) && !remaining <> [] do
-    (match obs with Some sink -> Sw_obs.Sink.incr sink "search.rungs" | None -> ());
-    improved := false;
-    let rung, rest = split rung_size !remaining in
-    List.iter verify rung;
-    remaining := rest;
-    (* keep going while the incumbent is unset — a rung of rank-feasible
-       points the verifier rejected must not end the search *)
-    if (not !improved) && !incumbent <> None then stop := true
-  done;
-  finish_shortlist
-    ~strategy:(name (Adaptive_shortlist { rank; k }))
-    ~obs ~verdicts ~indexed ~rank_host_s ~rank_machine_us
+  finish ~obs ~strategy:(name (Ranked { rank; k; stop; score })) ~rank_host_s ~rank_machine_us
+    results
 
 (* ------------------------------------------------------------------ *)
 (* Successive halving: race all points through rungs of growing event
@@ -304,8 +347,7 @@ let run_halving ?link ~rungs ~backend ~active_cpes ?pool ?obs config kernel poin
         match Backend.assess backend config kernel (variant p) with
         | Ok v ->
             results.(i) <- Some (Priced v);
-            incumbent := Some v.Backend.cycles;
-            link_publish link v.Backend.cycles;
+            offer link incumbent v.Backend.cycles;
             yardstick := Stdlib.max 1 v.Backend.cost.Backend.machine_events;
             rest
         | Error e ->
@@ -334,11 +376,7 @@ let run_halving ?link ~rungs ~backend ~active_cpes ?pool ?obs config kernel poin
           | Backend.Assessed v ->
               sunk.(i) <- Backend.add_cost sunk.(i) v.Backend.cost;
               results.(i) <- Some (Priced { v with Backend.cost = sunk.(i) });
-              (match !incumbent with
-              | Some c when v.Backend.cycles >= c -> ()
-              | _ ->
-                  incumbent := Some v.Backend.cycles;
-                  link_publish link v.Backend.cycles)
+              offer link incumbent v.Backend.cycles
           | Backend.Infeasible e -> results.(i) <- Some (Rejected e)
           | Backend.Cut_off { at; cost } ->
               sunk.(i) <- Backend.add_cost sunk.(i) cost;
@@ -352,146 +390,29 @@ let run_halving ?link ~rungs ~backend ~active_cpes ?pool ?obs config kernel poin
         let scored =
           List.sort (fun (i1, a1) (i2, a2) -> compare (a1, i1) (a2, i2)) (List.rev !survivors)
         in
-        let keep_n = (List.length scored + 1) / 2 in
-        let rec split n = function
-          | x :: rest when n > 0 ->
-              let keep, drop = split (n - 1) rest in
-              (x :: keep, drop)
-          | rest -> ([], rest)
-        in
-        let keep, drop = split keep_n scored in
+        let keep, drop = split ((List.length scored + 1) / 2) scored in
         List.iter (fun (i, _) -> results.(i) <- Some (Pruned sunk.(i))) drop;
         racing :=
           List.filter (fun (i, _) -> List.mem_assoc i keep) indexed
       end
     end
   done;
-  let pruned = ref 0 in
-  let final =
-    List.map
-      (fun (i, p) ->
-        match results.(i) with
-        | Some res ->
-            (match res with Pruned _ -> incr pruned | Priced _ | Rejected _ -> ());
-            (p, res)
-        | None ->
-            (* rungs = 1 never enters the loop; handled by the caller *)
-            assert false)
-      indexed
-  in
-  observe_pruned obs !pruned;
-  ( final,
-    {
-      strategy = name (Successive_halving { rungs });
-      pruned = !pruned;
-      rank_host_s = 0.0;
-      rank_machine_us = 0.0;
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* Robust: shortlist first, then re-assess every surviving (Priced)
-   point under each seeded fault plan and score it by the [quantile] of
-   its per-plan cycles (1.0 = worst case).  The argmin downstream then
-   picks the point whose *bad days* are cheapest — min-of-worst-case —
-   instead of the nominal winner.
-
-   Determinism: plans are pure functions of (spec, seed, config), the
-   point × seed fan-out is order-preserving under the pool, and the
-   quantile is computed from a total sort, so the outcome is identical
-   at any pool size. *)
-
-let quantile_of ~quantile sorted =
-  let n = Array.length sorted in
-  let idx =
-    Stdlib.min (n - 1)
-      (Stdlib.max 0 (int_of_float (Float.ceil (quantile *. float_of_int n)) - 1))
-  in
-  sorted.(idx)
-
-let run_robust ?link ~rank ~k ~seeds ~quantile ~spec ~backend ~active_cpes ?pool ?obs config
-    kernel points =
-  let results, sstats =
-    run_shortlist ~cutoff_prune:false ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config
-      kernel points
-  in
-  let plans = List.map (fun seed -> Sw_fault.Fault.plan ~spec ~seed config) seeds in
-  let survivors =
-    List.filter_map
-      (function i, (p, Priced v) -> Some (i, p, v) | _ -> None)
-      (List.mapi (fun i pr -> (i, pr)) results)
-  in
-  let jobs =
-    List.concat_map
-      (fun (i, p, _) -> List.map (fun plan -> (i, p, plan)) plans)
-      survivors
-  in
-  let assessed =
-    map_points ?pool
-      (fun (i, p, plan) ->
-        (* liveness tick only: robust scoring never prunes on the link *)
-        (match link with Some l -> ignore (l.current () : float option) | None -> ());
-        (i, Backend.assess backend plan kernel (Space.to_variant p ~active_cpes)))
-      jobs
-  in
-  (match obs with
-  | Some sink -> Sw_obs.Sink.incr sink ~by:(List.length jobs) "search.robust_assessments"
-  | None -> ());
-  let scored =
-    List.map
-      (fun (i, p, (v : Backend.verdict)) ->
-        let mine = List.filter_map (fun (j, r) -> if j = i then Some r else None) assessed in
-        let cycles =
-          List.map
-            (function
-              | Ok (pv : Backend.verdict) -> pv.Backend.cycles
-              (* a plan that breaks the point entirely is the worst
-                 case there is *)
-              | Error _ -> Float.infinity)
-            mine
-        in
-        let extra_cost =
-          List.fold_left
-            (fun acc -> function Ok pv -> Backend.add_cost acc pv.Backend.cost | Error _ -> acc)
-            Backend.zero_cost mine
-        in
-        let sorted = Array.of_list cycles in
-        Array.sort Float.compare sorted;
-        let score = quantile_of ~quantile sorted in
-        (i, (p, Priced { v with Backend.cycles = score; cost = Backend.add_cost v.Backend.cost extra_cost })))
-      survivors
-  in
-  let final =
-    List.mapi
-      (fun i pr -> match List.assoc_opt i scored with Some pr' -> pr' | None -> pr)
-      results
-  in
-  ( final,
-    { sstats with strategy = name (Robust { rank; k; seeds; quantile; spec }) } )
+  finish ~obs ~strategy:(name (Successive_halving { rungs }))
+    (List.map
+       (fun (i, p) ->
+         match results.(i) with
+         | Some res -> (p, res)
+         | None -> assert false (* rungs = 1 never enters the loop; handled by [run] *))
+       indexed)
 
 let run strategy ~backend ~active_cpes ?pool ?obs ?link config kernel ~points =
   match strategy with
-  | Exhaustive ->
-      (* exhaustive's contract is to price every point: the link's
-         cutoff is never applied, but it still ticks (heartbeats) *)
-      ( run_exhaustive ~backend ~active_cpes ?pool ?link config kernel points,
-        { strategy = "exhaustive"; pruned = 0; rank_host_s = 0.0; rank_machine_us = 0.0 } )
-  | Shortlist { rank; k } ->
-      run_shortlist ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config kernel points
-  | Adaptive_shortlist { rank; k } ->
-      run_adaptive ?link ~rank ~k ~backend ~active_cpes ?pool ?obs config kernel points
-  | Successive_halving { rungs } when rungs <= 1 ->
-      (* one rung races nothing: identical to exhaustive by construction *)
-      ( run_exhaustive ~backend ~active_cpes ?pool ?link config kernel points,
-        {
-          strategy = name (Successive_halving { rungs });
-          pruned = 0;
-          rank_host_s = 0.0;
-          rank_machine_us = 0.0;
-        } )
-  | Successive_halving { rungs } ->
+  | Ranked { rank; k; stop; score } ->
+      run_ranked ~rank ~k ~stop ~score ~backend ~active_cpes ?pool ?obs ?link config kernel
+        points
+  | Successive_halving { rungs } when rungs > 1 ->
       run_halving ?link ~rungs ~backend ~active_cpes ?pool ?obs config kernel points
-  | Robust { rank; k; seeds; quantile; spec } ->
-      (* robust disables cutoff pruning entirely (every survivor must
-         be fully priced); the link only carries heartbeats *)
-      run_robust ?link ~rank ~k ~seeds ~quantile ~spec ~backend ~active_cpes ?pool ?obs
-        config kernel points
+  | Exhaustive | Successive_halving _ ->
+      (* one halving rung races nothing: exhaustive by construction *)
+      finish ~obs ~strategy:(name strategy)
+        (run_exhaustive ~backend ~active_cpes ?pool ?link config kernel points)

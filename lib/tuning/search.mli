@@ -14,60 +14,68 @@
     backend, {!Rejected} at compile time, or {!Pruned} with only its
     sunk cost recorded. *)
 
-type t =
+(** When a ranked search stops verifying. *)
+type stop =
+  | One_rung  (** Verify the first rung only: a fixed budget of [k] points. *)
+  | Quiet_rung
+      (** Keep verifying rungs of [k] until one completes without
+          strictly beating the bar (see {!Ranked}). *)
+
+(** How a ranked search scores the points it verified. *)
+type score =
+  | Nominal  (** The verifier's cycles, under the running cutoff. *)
+  | Quantile of { seeds : int list; quantile : float; spec : Sw_fault.Fault.spec }
+      (** The [quantile] ([1.0] = worst case) of the point's cycles
+          under one {!Sw_fault.Fault.plan} per seed; a plan under which
+          a point fails outright scores infinity.  Turns cutoff pruning
+          off. *)
+
+(** A strategy.  The type is private: the smart constructors below are
+    the only way in, so every value has passed their checks. *)
+type t = private
   | Exhaustive
       (** Assess every point with the main backend — the pre-strategy
           behaviour, bit-identical at any pool size. *)
-  | Shortlist of { rank : Sw_backend.Backend.t; k : int }
+  | Ranked of { rank : Sw_backend.Backend.t; k : int; stop : stop; score : score }
       (** Rank the whole space with the cheap [rank] backend (default
-          the static model), then verify only the [k] best-ranked
-          points with the main backend, best first, carrying the
-          running incumbent's cycles as a strict cutoff so losing
-          verifications abandon early.  Returns the same best variant
-          as [Exhaustive] whenever the ranker's top-[k] contains the
-          true argmin — the paper's model is precise enough that a
-          small [k] (a quarter of the space) suffices on every Table II
-          kernel. *)
-  | Adaptive_shortlist of { rank : Sw_backend.Backend.t; k : int }
-      (** Like [Shortlist], but [k] is a rung size, not a budget: the
-          ranked order is verified in rungs of [k] points and the
-          search stops as soon as a whole rung completes without
-          strictly improving the incumbent (seeding the first incumbent
-          does not count as an improvement).  A well-ranked space thus
-          verifies exactly [k] points, while a misranked one keeps
-          paying, one rung at a time, until the ranking proves itself —
-          the argmin is recovered without hand-tuning [K] per kernel as
-          long as the ranker places the true best ahead of a full quiet
-          rung. *)
+          the static model), then verify the ranked order with the main
+          backend, best first, in rungs of [k] points.  The bar is
+          min(local incumbent, link cutoff), read before each
+          verification; under [Nominal] scoring it is the verification's
+          strict cutoff, so losing verifications abandon early.
+
+          - [One_rung] ({!shortlist}) verifies the [k] best-ranked
+            points.  It returns the same best variant as [Exhaustive]
+            whenever the ranker's top-[k] contains the true argmin — the
+            paper's model is precise enough that a quarter of the space
+            suffices on every Table II kernel.
+          - [Quiet_rung] ({!adaptive_shortlist}) stops after the first
+            rung in which no verification strictly beat the bar; while
+            the bar is unset, a rung never ends the search (seeding the
+            first incumbent is not an improvement).  A well-ranked space
+            verifies exactly [k] points, a misranked one keeps paying
+            one rung at a time, and a shard whose every verification the
+            global incumbent cuts off stops after one rung.
+          - [Quantile] scoring ({!robust}) fully prices every verified
+            point, then rescores it over the fault plans, so the
+            downstream argmin picks min-of-worst-case — the schedule
+            whose bad days are cheapest — instead of the nominal
+            winner. *)
   | Successive_halving of { rungs : int }
       (** Race all points through [rungs] rounds of growing
           event-budget, halving the field between rounds by partial
           progress; the final rung runs unmetered under the incumbent
           cutoff.  [rungs <= 1] degrades to [Exhaustive] exactly. *)
-  | Robust of {
-      rank : Sw_backend.Backend.t;
-      k : int;
-      seeds : int list;
-      quantile : float;
-      spec : Sw_fault.Fault.spec;
-    }
-      (** [Shortlist] first — but with the incumbent cutoff disabled,
-          so all [k] survivors are fully priced (a point that loses
-          nominally can still be the min-of-worst-case winner) — then
-          re-assess every survivor under one {!Sw_fault.Fault.plan} per
-          seed and score it by the [quantile] of its per-plan cycles
-          ([1.0] = worst case), so the downstream argmin picks
-          min-of-worst-case — the schedule whose bad days are cheapest
-          — instead of the nominal winner.  A plan under which a point
-          fails outright scores infinity. *)
 
 val exhaustive : t
 
 val shortlist : ?rank:Sw_backend.Backend.t -> k:int -> unit -> t
-(** [rank] defaults to {!Sw_backend.Backend.static_model}. *)
+(** [Ranked] with [One_rung] and [Nominal] scoring.  [rank] defaults to
+    {!Sw_backend.Backend.static_model}. *)
 
 val adaptive_shortlist : ?rank:Sw_backend.Backend.t -> k:int -> unit -> t
-(** [rank] defaults to {!Sw_backend.Backend.static_model}.
+(** [Ranked] with [Quiet_rung] and [Nominal] scoring.  [rank] defaults
+    to {!Sw_backend.Backend.static_model}.
     @raise Invalid_argument when [k < 1]. *)
 
 val successive_halving : rungs:int -> t
@@ -81,8 +89,9 @@ val robust :
   ?spec:Sw_fault.Fault.spec ->
   unit ->
   t
-(** [rank] defaults to the static model, [quantile] to [1.0] (worst
-    case), [spec] to {!Sw_fault.Fault.default}.
+(** [Ranked] with [One_rung] and [Quantile] scoring.  [rank] defaults
+    to the static model, [quantile] to [1.0] (worst case), [spec] to
+    {!Sw_fault.Fault.default}.
     @raise Invalid_argument on an empty seed list or a quantile outside
     [(0, 1]]. *)
 
@@ -107,10 +116,12 @@ type link = { publish : float -> unit; current : unit -> float option }
     polled per verification; [publish] fires whenever the local
     incumbent strictly improves (including its seeding).  The link is
     purely advisory: cutoffs stay strict, so a stale, lossy or absent
-    remote value costs extra verifications, never the argmin.  Applied
-    by the shortlist, adaptive and successive-halving strategies;
-    [Exhaustive] (price everything) and [Robust] (cutoff pruning
-    disabled by design) ignore it. *)
+    remote value costs extra verifications, never the argmin.
+    [Successive_halving] and [Ranked] with [Nominal] scoring prune on
+    the remote cutoff, and [Quiet_rung] also counts it in its stop
+    rule.  [Quantile] scoring publishes its incumbents but never prunes
+    on the cutoff (cutoff pruning is off by design); [Exhaustive]
+    (price everything) only ticks the link for liveness. *)
 
 type stats = {
   strategy : string;  (** {!name} of the strategy that ran. *)
@@ -136,9 +147,11 @@ val run :
     order, one per input point, so the caller's argmin (strict [<],
     earliest index wins) sees exactly the exhaustive ordering.
 
-    With [obs], the search bumps ["search.pruned"] (points pruned) and
-    ["search.rungs"] (successive-halving or adaptive-shortlist rounds
-    raced); per-assessment
+    With [obs], the search bumps ["search.pruned"] (points pruned),
+    ["search.rungs"] (rounds raced: one per verified rung of a
+    [Ranked] search — 1 for shortlist and robust — and one per
+    successive-halving round) and ["search.robust_assessments"]
+    (fault-plan re-assessments under [Quantile] scoring); per-assessment
     telemetry comes from wrapping [backend] with
     {!Sw_backend.Backend.instrument} before calling.
 

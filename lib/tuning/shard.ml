@@ -63,11 +63,13 @@ let mine ~shard ~shards points =
    {!Sw_obs.Json.float_lit} (shortest exact round-trip), so a cutoff
    arrives bit-identical to the incumbent that produced it.
 
-   Worker->coordinator lines (incumbents and heartbeats) carry a
-   per-worker sequence number from one shared counter, so the
-   coordinator can *count* lost lines instead of merely tolerating
+   Worker->coordinator lines (incumbents, heartbeats and the final done
+   line) carry a per-worker sequence number from one shared counter, so
+   the coordinator can *count* lost lines instead of merely tolerating
    them: a gap in the sequence is a dropped line, a repeat is a
-   duplicate.  Cutoffs stay unnumbered — they are pure advice. *)
+   duplicate.  The done line takes the next number, so the gap before
+   it counts drops after the last incumbent or heartbeat too.  Cutoffs
+   stay unnumbered — they are pure advice. *)
 
 type msg =
   | Incumbent of { cycles : float; seq : int }
@@ -75,7 +77,8 @@ type msg =
   | Heartbeat of { seq : int }
       (** worker -> coordinator: alive and searching *)
   | Cutoff of float  (** coordinator -> worker: global best so far *)
-  | Done of Json.t  (** worker -> coordinator: search finished, stats attached *)
+  | Done of { stats : Json.t; seq : int option }
+      (** worker -> coordinator: search finished, stats attached *)
 
 let encode = function
   | Incumbent { cycles; seq } ->
@@ -85,7 +88,9 @@ let encode = function
   | Heartbeat { seq } ->
       Json.to_string (Json.Obj [ ("ev", Json.Str "hb"); ("seq", Json.Int seq) ])
   | Cutoff c -> Json.to_string (Json.Obj [ ("ev", Json.Str "cutoff"); ("cycles", Json.Float c) ])
-  | Done stats -> Json.to_string (Json.Obj [ ("ev", Json.Str "done"); ("stats", stats) ])
+  | Done { stats; seq } ->
+      let seq = match seq with Some s -> [ ("seq", Json.Int s) ] | None -> [] in
+      Json.to_string (Json.Obj ((("ev", Json.Str "done") :: seq) @ [ ("stats", stats) ]))
 
 let decode line =
   match Json.parse line with
@@ -100,7 +105,7 @@ let decode line =
           | _ -> None)
       | Some "hb" -> Option.map (fun seq -> Heartbeat { seq }) (seq ())
       | Some "cutoff" -> Option.map (fun c -> Cutoff c) (cycles ())
-      | Some "done" -> Option.map (fun s -> Done s) (Json.member "stats" j)
+      | Some "done" -> Option.map (fun stats -> Done { stats; seq = seq () }) (Json.member "stats" j)
       | _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -199,12 +204,15 @@ let worker_link ?(input = Unix.stdin) ?(output = Unix.stdout) ?(heartbeat_s = 0.
         | Some (Incumbent _ | Heartbeat _ | Done _) | None -> ())
       (take_lines buf)
   in
+  let next_seq () =
+    let s = !seq in
+    incr seq;
+    s
+  in
   let heartbeat now =
     if heartbeat_s > 0.0 && now -. !last_hb >= heartbeat_s then begin
       last_hb := now;
-      let s = !seq in
-      incr seq;
-      write_line (encode (Heartbeat { seq = s }))
+      write_line (encode (Heartbeat { seq = next_seq () }))
     end
   in
   let last_drain = ref neg_infinity in
@@ -221,10 +229,8 @@ let worker_link ?(input = Unix.stdin) ?(output = Unix.stdout) ?(heartbeat_s = 0.
   in
   let publish cycles =
     Mutex.protect lock (fun () ->
-        let s = !seq in
-        incr seq;
         incr sent;
-        let line = encode (Incumbent { cycles; seq = s }) in
+        let line = encode (Incumbent { cycles; seq = next_seq () }) in
         let dropped =
           match drop_every with Some k -> !sent mod k = 0 | None -> false
         in
@@ -235,11 +241,10 @@ let worker_link ?(input = Unix.stdin) ?(output = Unix.stdout) ?(heartbeat_s = 0.
           | _ -> ()
         end)
   in
-  { Search.publish; current }
-
-let emit_done ?(output = Unix.stdout) stats =
-  try write_all output (encode (Done stats) ^ "\n")
-  with Unix.Unix_error (Unix.EPIPE, _, _) -> ()
+  let finish stats =
+    Mutex.protect lock (fun () -> write_line (encode (Done { stats; seq = Some (next_seq ()) })))
+  in
+  ({ Search.publish; current }, finish)
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator side *)
@@ -445,7 +450,9 @@ let supervise ?(max_restarts = 2) ?hang_timeout_s procs =
             (live_slots ())
         end
     | Some (Heartbeat { seq }) -> note_seq s seq
-    | Some (Done stats) -> s.proc.finished <- Some stats
+    | Some (Done { stats; seq }) ->
+        Option.iter (note_seq s) seq;
+        s.proc.finished <- Some stats
     | Some (Cutoff _) | None -> () (* not a worker->coordinator message: ignore *)
   in
   (* A slot whose worker died (or was killed for hanging): relaunch it

@@ -41,11 +41,13 @@ val mine : shard:int -> shards:int -> Space.point list -> Space.point list
     round-trip ({!Sw_obs.Json.float_lit}), so a cutoff arrives
     bit-identical to the incumbent that produced it.
 
-    Worker-to-coordinator lines (incumbents and heartbeats) are
-    numbered from one per-worker counter: a gap in the sequence is a
-    dropped line the coordinator can count ([lines_dropped] in the
-    {!report}), a repeat is a harmless duplicate.  Cutoff lines are
-    unnumbered — they are pure advice. *)
+    Worker-to-coordinator lines (incumbents, heartbeats and the final
+    done line) are numbered from one per-worker counter: a gap in the
+    sequence is a dropped line the coordinator can count
+    ([lines_dropped] in the {!report}), a repeat is a harmless
+    duplicate.  The done line takes the next number, so drops after the
+    last incumbent or heartbeat show as the gap before it.  Cutoff
+    lines are unnumbered — they are pure advice. *)
 
 type msg =
   | Incumbent of { cycles : float; seq : int }
@@ -55,7 +57,9 @@ type msg =
           {!worker_link} whenever the strategy polls the link and the
           heartbeat interval has elapsed) *)
   | Cutoff of float  (** coordinator -> worker: global best so far *)
-  | Done of Sw_obs.Json.t  (** worker -> coordinator: finished, stats attached *)
+  | Done of { stats : Sw_obs.Json.t; seq : int option }
+      (** worker -> coordinator: finished, stats attached; [seq] is
+          [None] on a done line that carries no number *)
 
 val encode : msg -> string
 (** One line, without the trailing newline. *)
@@ -72,9 +76,10 @@ val worker_link :
   ?drop_every:int ->
   ?dup_every:int ->
   unit ->
-  Search.link
+  Search.link * (Sw_obs.Json.t -> unit)
 (** A {!Search.link} over the worker's own pipes (default
-    stdin/stdout).  [current] drains pending [Cutoff] lines without
+    stdin/stdout), and the function that writes the final [Done] line
+    with its stats, numbered after every line the link sent.  [current] drains pending [Cutoff] lines without
     blocking — at most once per millisecond, so a cutoff becomes
     visible within 1 ms of its arrival rather than at the very next
     poll (cutoffs are advisory; a drain per point would cost a [select]
@@ -90,9 +95,6 @@ val worker_link :
     SIGPIPE-ignore handler: the coordinator vanishing mid-run degrades
     the link to a no-op rather than killing the worker — the journal,
     not the pipe, carries the result. *)
-
-val emit_done : ?output:Unix.file_descr -> Sw_obs.Json.t -> unit
-(** Write the final [Done] line (default stdout). *)
 
 (** {1 Coordinator side} *)
 

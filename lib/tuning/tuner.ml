@@ -28,9 +28,35 @@ type outcome = {
   link_lines_dropped : int;
 }
 
-let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?pool ?obs
+(* The tail both tune paths share: the strict-[<] argmin over the
+   priced [(point, cycles)] in enumeration order (the earliest index wins
+   ties), then one validation run each for the pick and the default —
+   [default], or else the first priced point with unroll 1 and no double
+   buffering.  Quality is always judged on the machine, whichever
+   backend searched; the validation runs are not billed as tuning cost,
+   and the cached lowering means re-running what the simulator backend
+   just assessed compiles nothing.  [None] when nothing was priced. *)
+let pick_and_validate ~active_cpes ?default (config : Sw_sim.Config.t) kernel = function
+  | [] -> None
+  | (p0, c0) :: rest ->
+      let best_point, _ =
+        List.fold_left (fun (bp, bc) (p, c) -> if c < bc then (p, c) else (bp, bc)) (p0, c0) rest
+      in
+      let run_variant variant =
+        Sw_backend.Machine.cycles config
+          (Sw_swacc.Lower.lower_cached_exn config.Sw_sim.Config.params kernel variant)
+      in
+      let best = Space.to_variant best_point ~active_cpes in
+      let best_cycles = run_variant best in
+      let default =
+        match default with
+        | Some v -> v
+        | None -> Space.to_variant { p0 with unroll = 1; double_buffer = false } ~active_cpes
+      in
+      Some (best, best_cycles, run_variant default)
+
+let tune ~backend ?(strategy = Search.exhaustive) ?(active_cpes = 64) ?default ?pool ?obs
     ?checkpoint (config : Sw_sim.Config.t) kernel ~points =
-  let params = config.Sw_sim.Config.params in
   (* Observability never steers the search: [instrument] wraps the
      backend with pure recording, so verdicts — and hence the argmin —
      are byte-identical with and without [obs]. *)
@@ -57,7 +83,7 @@ let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?
   let tuning_host_s = Unix.gettimeofday () -. wall0 in
   let tuning_cpu_s = Sys.time () -. cpu0 in
   let scored =
-    List.filter_map (function p, Search.Priced v -> Some (p, v) | _ -> None) results
+    List.filter_map (function p, Search.Priced v -> Some (p, v.Backend.cycles) | _ -> None) results
   in
   let evaluated = List.length scored in
   let infeasible =
@@ -106,8 +132,8 @@ let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?
   let journal_hits = match jnl with Some j -> Backend.journal_hits j | None -> 0 in
   let journal_misses = match jnl with Some j -> Backend.journal_misses j | None -> 0 in
   Option.iter Backend.journal_close jnl;
-  match scored with
-  | [] ->
+  match pick_and_validate ~active_cpes ?default config kernel scored with
+  | None ->
       let detail =
         match
           List.find_map (function _, Search.Rejected e -> Some e | _ -> None) results
@@ -119,33 +145,12 @@ let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?
         (`No_feasible_point
           (Printf.sprintf "%s tuner: no feasible point among %d in the search space%s"
              (Backend.name backend) (List.length points) detail))
-  | (p0, v0) :: rest ->
-      let best_point, _ =
-        List.fold_left
-          (fun (bp, bs) (p, (v : Backend.verdict)) ->
-            if v.Backend.cycles < bs then (p, v.Backend.cycles) else (bp, bs))
-          (p0, v0.Backend.cycles) rest
-      in
-      let best_variant = Space.to_variant best_point ~active_cpes in
-      (* Quality is always judged on the machine, whichever backend
-         searched: one validation run per variant, not billed as tuning
-         cost.  The cached lowering means re-running what the simulator
-         backend just assessed compiles nothing. *)
-      let run_variant variant =
-        Sw_backend.Machine.cycles config (Sw_swacc.Lower.lower_cached_exn params kernel variant)
-      in
-      let best_cycles = run_variant best_variant in
-      let default_variant =
-        match default with
-        | Some v -> v
-        | None -> Space.to_variant { p0 with unroll = 1; double_buffer = false } ~active_cpes
-      in
-      let default_cycles = run_variant default_variant in
+  | Some (best, best_cycles, default_cycles) ->
       Ok
         {
           backend = Backend.name backend;
           strategy = sstats.Search.strategy;
-          best = best_variant;
+          best;
           best_cycles;
           default_cycles;
           speedup = default_cycles /. best_cycles;
@@ -173,27 +178,21 @@ let tune ~backend ?(strategy = Search.Exhaustive) ?(active_cpes = 64) ?default ?
    enumeration order with the same strict [<] fold as [tune], so the
    sharded pick ties-break identically to the single-process oracle. *)
 
-let sum_stat dones key =
+let fold_stat op dones key =
   List.fold_left
     (fun acc stats ->
       match Option.bind (Sw_obs.Json.member key stats) Sw_obs.Json.to_float with
-      | Some v -> acc +. v
+      | Some v -> op acc v
       | None -> acc)
     0.0 dones
 
-let max_stat dones key =
-  List.fold_left
-    (fun acc stats ->
-      match Option.bind (Sw_obs.Json.member key stats) Sw_obs.Json.to_float with
-      | Some v -> Float.max acc v
-      | None -> acc)
-    0.0 dones
+let sum_stat = fold_stat ( +. )
+let max_stat = fold_stat Float.max
 
 let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
     ?(active_cpes = 64) ?default ?(max_restarts = 2) ?hang_timeout_s
     (config : Sw_sim.Config.t) kernel ~points =
   if workers < 1 then invalid_arg "Tuner.tune_sharded: workers must be >= 1";
-  let params = config.Sw_sim.Config.params in
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
   let procs =
@@ -228,73 +227,57 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
   match !mismatch with
   | Some msg -> Error (`Worker_failure msg)
   | None -> (
-          let tuning_host_s = Unix.gettimeofday () -. wall0 in
-          let evaluated = ref 0 and infeasible = ref 0 and pruned = ref 0 in
-          let best = ref None in
-          let first_ok = ref None in
-          List.iter
-            (fun p ->
-              let key = Backend.journal_key_of kernel (Space.to_variant p ~active_cpes) in
-              match Hashtbl.find_opt merged key with
-              | Some (Backend.Journal_ok { cycles; _ }) ->
-                  incr evaluated;
-                  if !first_ok = None then first_ok := Some p;
-                  (match !best with
-                  | Some (_, bc) when cycles >= bc -> ()
-                  | _ -> best := Some (p, cycles))
-              | Some (Backend.Journal_infeasible _) -> incr infeasible
-              | None -> incr pruned)
-            points;
-          match !best with
-          | None ->
-              Error
-                (`No_feasible_point
-                  (Printf.sprintf
-                     "sharded %s tuner: no feasible point among %d in the search space"
-                     backend_name (List.length points)))
-          | Some (best_point, _) ->
-              let rank_rejected = int_of_float (sum_stat dones "rank_rejected") in
-              let best_variant = Space.to_variant best_point ~active_cpes in
-              let run_variant variant =
-                Sw_backend.Machine.cycles config
-                  (Sw_swacc.Lower.lower_cached_exn params kernel variant)
-              in
-              let best_cycles = run_variant best_variant in
-              let default_variant =
-                match (default, !first_ok) with
-                | Some v, _ -> v
-                | None, Some p0 ->
-                    Space.to_variant { p0 with unroll = 1; double_buffer = false } ~active_cpes
-                | None, None -> best_variant
-              in
-              let default_cycles = run_variant default_variant in
-              Ok
-                {
-                  backend = Printf.sprintf "sharded(%s,workers=%d)" backend_name workers;
-                  strategy = strategy_name;
-                  best = best_variant;
-                  best_cycles;
-                  default_cycles;
-                  speedup = default_cycles /. best_cycles;
-                  tuning_host_s;
-                  (* the coordinator's own cpu plus what the workers report:
-                     the real compute bill, not the coordinator's idle wait *)
-                  tuning_cpu_s = Sys.time () -. cpu0 +. sum_stat dones "cpu_s";
-                  machine_time_us = sum_stat dones "machine_us";
-                  evaluated = !evaluated;
-                  (* points the workers' ranking pass rejected never
-                     reach a journal: infeasible, not pruned *)
-                  infeasible = !infeasible + rank_rejected;
-                  points_pruned = !pruned - rank_rejected;
-                  (* workers rank concurrently: the wall bill is the slowest *)
-                  rank_host_s = max_stat dones "rank_host_s";
-                  rank_machine_us = sum_stat dones "rank_machine_us";
-                  journal_hits = int_of_float (sum_stat dones "journal_hits");
-                  journal_misses = int_of_float (sum_stat dones "journal_misses");
-                  restarts = report.Shard.restarts;
-                  quarantined;
-                  link_lines_dropped = report.Shard.lines_dropped;
-                })
+      let tuning_host_s = Unix.gettimeofday () -. wall0 in
+      let infeasible = ref 0 and pruned = ref 0 in
+      let priced =
+        List.filter_map
+          (fun p ->
+            let key = Backend.journal_key_of kernel (Space.to_variant p ~active_cpes) in
+            match Hashtbl.find_opt merged key with
+            | Some (Backend.Journal_ok { cycles; _ }) -> Some (p, cycles)
+            | Some (Backend.Journal_infeasible _) ->
+                incr infeasible;
+                None
+            | None ->
+                incr pruned;
+                None)
+          points
+      in
+      match pick_and_validate ~active_cpes ?default config kernel priced with
+      | None ->
+          Error
+            (`No_feasible_point
+              (Printf.sprintf "sharded %s tuner: no feasible point among %d in the search space"
+                 backend_name (List.length points)))
+      | Some (best, best_cycles, default_cycles) ->
+          let rank_rejected = int_of_float (sum_stat dones "rank_rejected") in
+          Ok
+            {
+              backend = Printf.sprintf "sharded(%s,workers=%d)" backend_name workers;
+              strategy = strategy_name;
+              best;
+              best_cycles;
+              default_cycles;
+              speedup = default_cycles /. best_cycles;
+              tuning_host_s;
+              (* the coordinator's own cpu plus what the workers report:
+                 the real compute bill, not the coordinator's idle wait *)
+              tuning_cpu_s = Sys.time () -. cpu0 +. sum_stat dones "cpu_s";
+              machine_time_us = sum_stat dones "machine_us";
+              evaluated = List.length priced;
+              (* points the workers' ranking pass rejected never reach a
+                 journal: infeasible, not pruned *)
+              infeasible = !infeasible + rank_rejected;
+              points_pruned = !pruned - rank_rejected;
+              (* workers rank concurrently: the wall bill is the slowest *)
+              rank_host_s = max_stat dones "rank_host_s";
+              rank_machine_us = sum_stat dones "rank_machine_us";
+              journal_hits = int_of_float (sum_stat dones "journal_hits");
+              journal_misses = int_of_float (sum_stat dones "journal_misses");
+              restarts = report.Shard.restarts;
+              quarantined;
+              link_lines_dropped = report.Shard.lines_dropped;
+            })
 
 let tune_exn ~backend ?strategy ?active_cpes ?default ?pool ?obs ?checkpoint config kernel
     ~points =
@@ -303,11 +286,6 @@ let tune_exn ~backend ?strategy ?active_cpes ?default ?pool ?obs ?checkpoint con
   with
   | Ok o -> o
   | Error (`No_feasible_point msg) -> invalid_arg ("Tuner.tune: " ^ msg)
-
-let tune_method ~method_ ?strategy ?active_cpes ?default ?pool ?obs ?checkpoint config kernel
-    ~points =
-  tune ~backend:(backend_of_method method_) ?strategy ?active_cpes ?default ?pool ?obs
-    ?checkpoint config kernel ~points
 
 let outcome_to_json o =
   let open Sw_obs.Json in

@@ -23,7 +23,7 @@
     search. *)
 
 type method_ = Static | Empirical
-(** The paper's original two tuners, kept as shims over backends. *)
+(** The paper's original two tuners, named by their backend. *)
 
 val backend_of_method : method_ -> Sw_backend.Backend.t
 (** [Static] is the ["model"] backend, [Empirical] the ["sim"] one. *)
@@ -98,7 +98,7 @@ val tune :
 (** Search [points] under [backend] and return the outcome, or a typed
     error (carrying a human-readable message with the first backend
     rejection) when every point is infeasible.  [strategy] (default
-    {!Search.Exhaustive}) decides which points the backend prices and
+    {!Search.exhaustive}) decides which points the backend prices and
     at what budget; [default] defaults to the first {e priced} point
     with unroll 1 (pass an explicit [default] when comparing strategies
     — a pruning strategy may not price the same first point);
@@ -209,21 +209,6 @@ val tune_exn :
   points:Space.point list ->
   outcome
 (** {!tune}, raising [Invalid_argument] on [`No_feasible_point]. *)
-
-val tune_method :
-  method_:method_ ->
-  ?strategy:Search.t ->
-  ?active_cpes:int ->
-  ?default:Sw_swacc.Kernel.variant ->
-  ?pool:Sw_util.Pool.t ->
-  ?obs:Sw_obs.Sink.t ->
-  ?checkpoint:string ->
-  Sw_sim.Config.t ->
-  Sw_swacc.Kernel.t ->
-  points:Space.point list ->
-  (outcome, [ `No_feasible_point of string ]) result
-(** [tune ~backend:(backend_of_method method_)] — the paper's original
-    interface.  Numerically identical to the pre-backend tuners. *)
 
 val outcome_to_json : outcome -> Sw_obs.Json.t
 (** The canonical machine-readable form of an outcome — the object the

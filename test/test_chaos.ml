@@ -349,6 +349,17 @@ let test_supervise_lines_dropped () =
   Alcotest.(check bool) "completed" true (report.Shard.health = Shard.Completed);
   Alcotest.(check int) "two lines lost in the gap" 2 report.Shard.lines_dropped
 
+(* A line lost after the last incumbent shows as the gap before the
+   numbered done line. *)
+let test_supervise_drop_before_done () =
+  let script =
+    {|echo '{"ev": "incumbent", "cycles": 100.5, "seq": 0}'
+      echo '{"ev": "done", "seq": 2, "stats": {"shard": 0, "cpu_s": 0.0}}'|}
+  in
+  let report = Shard.supervise ~max_restarts:0 [ sh_proc ~shard:0 script ] in
+  Alcotest.(check bool) "completed" true (report.Shard.health = Shard.Completed);
+  Alcotest.(check int) "the line before done" 1 report.Shard.lines_dropped
+
 (* Without a restart budget a dead worker is quarantined at once: the
    run reports it degraded, never relaunches it, and keeps no stats. *)
 let test_zero_restarts_fail_fast () =
@@ -374,5 +385,7 @@ let tests =
       Alcotest.test_case "hung worker is killed and relaunched" `Quick test_supervise_hang;
       Alcotest.test_case "sequence gaps count dropped lines" `Quick
         test_supervise_lines_dropped;
+      Alcotest.test_case "a drop before the done line is counted" `Quick
+        test_supervise_drop_before_done;
       Alcotest.test_case "zero restarts stays fail-fast" `Quick test_zero_restarts_fail_fast;
     ] )

@@ -85,7 +85,9 @@ let prop_strategies_pool_deterministic =
             && seq.Tuner.evaluated = par.Tuner.evaluated
             && seq.Tuner.points_pruned = par.Tuner.points_pruned)
       in
-      check (Search.shortlist ~k ()) && check (Search.successive_halving ~rungs:3))
+      check (Search.shortlist ~k ())
+      && check (Search.successive_halving ~rungs:3)
+      && check (Search.robust ~k ~seeds:[ 1; 2; 3; 4 ] ()))
 
 (* ------------------------------------------------------------------ *)
 (* Engine cutoff semantics *)
@@ -315,6 +317,23 @@ let test_adaptive_same_best_on_table2 () =
         (same_answer exhaustive adaptive))
     Sw_workloads.Registry.tuning_subset
 
+(* A remote cutoff is a bar too: a shard whose every verification the
+   global incumbent cuts off has nothing left to prove after one quiet
+   rung, even though it never seeds a local incumbent. *)
+let test_adaptive_stops_under_remote_cutoff () =
+  let entry = Sw_workloads.Registry.find_exn "kmeans" in
+  let kernel = entry.Sw_workloads.Registry.build ~scale:0.1 in
+  let pts = points entry in
+  let sink = Sw_obs.Sink.create () in
+  let link = { Search.publish = ignore; current = (fun () -> Some 1.0) } in
+  let results, _ =
+    Search.run (Search.adaptive_shortlist ~k:1 ()) ~backend:Sw_backend.Backend.simulator
+      ~active_cpes:64 ~obs:sink ~link config kernel ~points:pts
+  in
+  Alcotest.(check (float 0.)) "one rung" 1.0 (Sw_obs.Sink.counter sink "search.rungs");
+  Alcotest.(check int) "nothing priced" 0
+    (List.length (List.filter (function _, Search.Priced _ -> true | _ -> false) results))
+
 let tests =
   ( "search",
     [
@@ -337,6 +356,8 @@ let tests =
         test_rank_backend_billed_separately;
       QCheck_alcotest.to_alcotest prop_adaptive_whole_space_is_exhaustive;
       QCheck_alcotest.to_alcotest prop_adaptive_pool_deterministic;
+      Alcotest.test_case "adaptive stops after one rung under a remote cutoff" `Quick
+        test_adaptive_stops_under_remote_cutoff;
       Alcotest.test_case "table2: adaptive argmin matches exhaustive" `Quick
         test_adaptive_same_best_on_table2;
       Alcotest.test_case "lowering cache hits on repeat" `Quick test_lower_cache_hits;

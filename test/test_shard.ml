@@ -218,7 +218,10 @@ let test_protocol_roundtrip () =
       Shard.Incumbent { cycles = 18463.25; seq = 41 };
       Shard.Heartbeat { seq = 7 };
       Shard.Cutoff 18463.2;
-      Shard.Done (Json.Obj [ ("shard", Json.Int 0); ("cpu_s", Json.Float 1.5) ]);
+      Shard.Done
+        { stats = Json.Obj [ ("shard", Json.Int 0); ("cpu_s", Json.Float 1.5) ]; seq = Some 9 };
+      (* a done line without a number still decodes *)
+      Shard.Done { stats = Json.Obj [ ("shard", Json.Int 1) ]; seq = None };
     ]
   in
   List.iter
@@ -299,7 +302,7 @@ let with_pipes f =
 
 let test_link_drain_interval () =
   with_pipes (fun ~in_r ~in_w ~out_r:_ ~out_w ->
-      let link = Shard.worker_link ~input:in_r ~output:out_w ~heartbeat_s:0.0 () in
+      let link, _ = Shard.worker_link ~input:in_r ~output:out_w ~heartbeat_s:0.0 () in
       Alcotest.(check (option (float 0.))) "nothing sent yet" None (link.Search.current ());
       let send c =
         let line = Shard.encode (Shard.Cutoff c) ^ "\n" in
@@ -319,7 +322,7 @@ let test_link_drain_interval () =
 let test_link_heartbeat_schedule () =
   with_pipes (fun ~in_r ~in_w:_ ~out_r ~out_w ->
       let heartbeat_s = 0.02 and span_s = 0.3 in
-      let link = Shard.worker_link ~input:in_r ~output:out_w ~heartbeat_s () in
+      let link, _ = Shard.worker_link ~input:in_r ~output:out_w ~heartbeat_s () in
       (* poll once per "point" of about 30 us, as a search does *)
       let t0 = Unix.gettimeofday () in
       while Unix.gettimeofday () -. t0 < span_s do
@@ -409,6 +412,33 @@ let test_sharded_outcome_fields () =
     (sharded.Tuner.evaluated + sharded.Tuner.points_pruned);
   Alcotest.(check bool) "same argmin" true (local.Tuner.best = sharded.Tuner.best)
 
+(* Sharded adaptive search lands on the in-process argmin: a worker that
+   stops once the global incumbent outranks its rung still leaves the
+   true minimum to the shard that owns it. *)
+let test_sharded_adaptive_argmin () =
+  Unix.putenv "SWPM_WORKER_EXE" Sys.executable_name;
+  let module H = Sw_serve.Handler in
+  List.iter
+    (fun (e : Sw_workloads.Registry.entry) ->
+      let req =
+        {
+          (H.tune_defaults ~kernel:e.Sw_workloads.Registry.name) with
+          H.t_backend = "sim";
+          t_strategy = "adaptive";
+          t_rank = Some "model";
+          t_shortlist = 6;
+          t_scale = 0.25;
+          t_seed = Some 1;
+        }
+      in
+      let best workers =
+        match H.tune (H.create ()) { req with H.t_workers = workers } with
+        | Ok r -> r.H.tr_outcome.Tuner.best
+        | Error msg -> Alcotest.failf "%s workers=%d: %s" e.name workers msg
+      in
+      Alcotest.(check bool) (e.name ^ ": same argmin") true (best 1 = best 2))
+    Sw_workloads.Registry.tuning_subset
+
 let tests =
   ( "shard",
     [
@@ -427,4 +457,6 @@ let tests =
         test_link_heartbeat_schedule;
       Alcotest.test_case "axis syntax" `Quick test_axis_syntax;
       Alcotest.test_case "sharded outcome fields match" `Quick test_sharded_outcome_fields;
+      Alcotest.test_case "sharded adaptive argmin matches in-process" `Quick
+        test_sharded_adaptive_argmin;
     ] )
