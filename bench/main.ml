@@ -1358,11 +1358,16 @@ let chaos_bench () =
         exit 1
   in
   (* an all-feasible slab, so shard journals fill steadily from the
-     first assessment and every generated kill/stall trigger fires *)
+     first assessment and every generated kill/stall trigger fires.
+     Halving publishes an incumbent at every improvement (exhaustive
+     publishes none, a model-ranked shortlist one per shard), so the
+     drop:/dup: plans have a stream to act on; the sharded argmin still
+     equals the in-process oracle run under the same strategy *)
   let req =
     {
       (H.tune_defaults ~kernel:"vector-add") with
       H.t_scale = 0.01;
+      t_strategy = "halving";
       t_seed = Some 17;
       t_grains = Some "1000..1640:4";
       t_unrolls = Some "1..8";
@@ -1412,6 +1417,15 @@ let chaos_bench () =
       | q -> Printf.sprintf "quarantined [%s]" (String.concat ";" (List.map string_of_int q)));
     if elapsed > wall_cap_s then begin
       Printf.printf "GATE FAILED: seed %d ran %.2fs > %.0fs wall cap\n" seed elapsed wall_cap_s;
+      sweep_ok := false
+    end;
+    let drops =
+      List.exists
+        (fun p -> match p.Chaos.action with Chaos.Drop_incumbents _ -> true | _ -> false)
+        plans
+    in
+    if drops && o.Sw_tuning.Tuner.link_lines_dropped = 0 then begin
+      Printf.printf "GATE FAILED: seed %d armed drop: but reports no dropped line\n" seed;
       sweep_ok := false
     end;
     if o.Sw_tuning.Tuner.restarts > workers * max_restarts then begin

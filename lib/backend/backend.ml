@@ -296,13 +296,38 @@ let instrument sink (inner : t) : t =
 (* ------------------------------------------------------------------ *)
 (* Memoization                                                         *)
 
+(* One hash over every field that tells two keys of a sweep apart.  The
+   generic [Hashtbl.hash] stops after 10 meaningful values and spends
+   them all inside the configuration, so it saw the grain and nothing
+   else of the variant.  The fault seed keeps a robust search's
+   perturbed configurations of one variant out of one bucket. *)
+let memo_hash (config : Sw_sim.Config.t) (kernel : Kernel.t) (v : Kernel.variant) =
+  let mix h x = (h lxor x) * 0x100000001b3 in
+  let h = mix (Hashtbl.hash kernel.Kernel.name) kernel.Kernel.n_elements in
+  let h = mix h kernel.Kernel.vector_width in
+  let h = mix h v.Kernel.grain in
+  let h = mix h v.Kernel.unroll in
+  let h = mix h v.Kernel.active_cpes in
+  let h = mix h (Bool.to_int v.Kernel.double_buffer) in
+  mix h config.Sw_sim.Config.faults.Sw_sim.Config.fault_seed land max_int
+
+(* Fields in comparison order: the cached hash and the small fields
+   reject a colliding key before the configuration is walked. *)
 type memo_key = {
-  mk_config : Sw_sim.Config.t;
+  mk_hash : int;
+  mk_variant : Kernel.variant;
   mk_kernel : string;
   mk_elems : int;
   mk_vw : int;
-  mk_variant : Kernel.variant;
+  mk_config : Sw_sim.Config.t;
 }
+
+module Memo_table = Hashtbl.Make (struct
+  type t = memo_key
+
+  let equal a b = compare a b = 0
+  let hash k = k.mk_hash
+end)
 
 type memo = {
   memo_backend : t;
@@ -317,7 +342,7 @@ type memo_slot = Memo_done of assessment | Memo_running
 
 let memoize ?sink (inner : t) : memo =
   let module I = (val inner : S) in
-  let table : (memo_key, memo_slot) Hashtbl.t = Hashtbl.create 64 in
+  let table : memo_slot Memo_table.t = Memo_table.create 64 in
   let lock = Mutex.create () in
   let cond = Condition.create () in
   let hits = Atomic.make 0 in
@@ -336,11 +361,12 @@ let memoize ?sink (inner : t) : memo =
     let assess ?cutoff ?event_budget config kernel (variant : Kernel.variant) =
       let key =
         {
-          mk_config = config;
+          mk_hash = memo_hash config kernel variant;
+          mk_variant = variant;
           mk_kernel = kernel.Kernel.name;
           mk_elems = kernel.Kernel.n_elements;
           mk_vw = kernel.Kernel.vector_width;
-          mk_variant = variant;
+          mk_config = config;
         }
       in
       (* single-flight: racing misses of one key wait for the first
@@ -353,13 +379,13 @@ let memoize ?sink (inner : t) : memo =
           ~finally:(fun () -> Mutex.unlock lock)
           (fun () ->
             let rec acquire () =
-              match Hashtbl.find_opt table key with
+              match Memo_table.find_opt table key with
               | Some (Memo_done r) -> `Hit r
               | Some Memo_running ->
                   Condition.wait cond lock;
                   acquire ()
               | None ->
-                  Hashtbl.replace table key Memo_running;
+                  Memo_table.replace table key Memo_running;
                   `Miss
             in
             acquire ())
@@ -381,8 +407,8 @@ let memoize ?sink (inner : t) : memo =
           let publish slot =
             Mutex.lock lock;
             (match slot with
-            | Some r -> Hashtbl.replace table key (Memo_done r)
-            | None -> Hashtbl.remove table key);
+            | Some r -> Memo_table.replace table key (Memo_done r)
+            | None -> Memo_table.remove table key);
             Condition.broadcast cond;
             Mutex.unlock lock
           in
@@ -408,7 +434,7 @@ let memoize ?sink (inner : t) : memo =
         Mutex.lock lock;
         Fun.protect
           ~finally:(fun () -> Mutex.unlock lock)
-          (fun () -> Hashtbl.reset table));
+          (fun () -> Memo_table.reset table));
   }
 
 let memoized m = m.memo_backend

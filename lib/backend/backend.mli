@@ -235,6 +235,13 @@ val memoize : ?sink:Sw_obs.Sink.t -> t -> memo
 val memoized : memo -> t
 (** The wrapping backend (named ["memo(<inner>)"]). *)
 
+val memo_hash : Sw_sim.Config.t -> Sw_swacc.Kernel.t -> Sw_swacc.Kernel.variant -> int
+(** The hash the memo table files a key under: the kernel's name,
+    element count and vector width, every variant field and the
+    configuration's fault seed.  Keys still compare structurally, the
+    whole configuration included, so a collision costs a comparison,
+    never a wrong answer. *)
+
 val memo_hits : memo -> int
 
 val memo_misses : memo -> int

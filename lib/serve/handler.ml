@@ -640,6 +640,13 @@ let shard_journals t ~workers =
       Array.init workers (fun shard ->
           Filename.temp_file (Printf.sprintf "swpm-shard%dof%d-" shard workers) ".journal")
 
+(* The validating machine of every in-process and sharded tune: this
+   state's shared [memo(sim)], so a repeated tune answers its pick and
+   default from the memo, and a ["sim"] tune's pick is the verdict its
+   own search just stored. *)
+let machine state =
+  match backend state "sim" with Ok (_, m) -> m | Error _ -> Backend.simulator
+
 let sharded_tune state t config kernel points =
   let t = resolve_seed t in
   let workers = t.t_workers in
@@ -656,8 +663,8 @@ let sharded_tune state t config kernel points =
       ~strategy_name:(Sw_tuning.Search.name strategy) ~workers
       ~argv:(fun ~shard ~journal -> worker_argv t ~shard ~shards:workers ~journal)
       ~journal_of:(fun shard -> journals.(shard))
-      ~max_restarts:t.t_max_restarts ?hang_timeout_s:t.t_hang_timeout_s config kernel
-      ~points
+      ~machine:(machine state) ~max_restarts:t.t_max_restarts
+      ?hang_timeout_s:t.t_hang_timeout_s config kernel ~points
   in
   cleanup ();
   match result with
@@ -692,8 +699,8 @@ let tune state ?(degrade = false) ?pool ?obs t =
     else resolve_search state t ~n_points
   in
   match
-    Sw_tuning.Tuner.tune ~backend:shared ~strategy ?pool ?obs ?checkpoint:t.t_checkpoint config
-      kernel ~points
+    Sw_tuning.Tuner.tune ~backend:shared ~machine:(machine state) ~strategy ?pool ?obs
+      ?checkpoint:t.t_checkpoint config kernel ~points
   with
   | Ok outcome -> Ok { tr_backend = canonical; tr_outcome = outcome; tr_degraded = degrade }
   | Error (`No_feasible_point msg) -> Error msg

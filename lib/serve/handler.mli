@@ -15,7 +15,12 @@
     ({!Sw_backend.Backend.memoize}) so repeated assessments of the same
     (config, kernel, variant) key are answered from cache — on top of
     the global [Lower.lower_cached] and [Sw_isa.Schedule.block_costs]
-    caches that already survive across calls.  All of it is
+    caches that already survive across calls.  Every tune, sharded or
+    not, also validates its pick and default through the shared
+    [memo(sim)], so a repeated tune (or a ["sim"] tune, whose search
+    just stored the pick's verdict) validates from cache; the
+    ["memo.hits"]/["memo.misses"] counters therefore include those two
+    validation lookups per tune.  All of it is
     mutex-guarded and safe to drive from several {!Sw_util.Pool}
     domains at once. *)
 

@@ -32,20 +32,20 @@ type outcome = {
    priced [(point, cycles)] in enumeration order (the earliest index wins
    ties), then one validation run each for the pick and the default —
    [default], or else the first priced point with unroll 1 and no double
-   buffering.  Quality is always judged on the machine, whichever
-   backend searched; the validation runs are not billed as tuning cost,
-   and the cached lowering means re-running what the simulator backend
-   just assessed compiles nothing.  [None] when nothing was priced. *)
-let pick_and_validate ~active_cpes ?default (config : Sw_sim.Config.t) kernel = function
+   buffering.  Quality is always judged by [machine], whichever backend
+   searched; the validation runs are not billed as tuning cost.  A
+   memoizing [machine] answers a repeated validation from its table:
+   the simulator's unbudgeted run and the budgeted run a pruned search
+   completed are the same engine run, and the memo never stores a
+   [Cut_off], so a hit is bit-identical to re-running.  [None] when
+   nothing was priced. *)
+let pick_and_validate ~machine ~active_cpes ?default config kernel = function
   | [] -> None
   | (p0, c0) :: rest ->
       let best_point, _ =
         List.fold_left (fun (bp, bc) (p, c) -> if c < bc then (p, c) else (bp, bc)) (p0, c0) rest
       in
-      let run_variant variant =
-        Sw_backend.Machine.cycles config
-          (Sw_swacc.Lower.lower_cached_exn config.Sw_sim.Config.params kernel variant)
-      in
+      let run_variant variant = Backend.cycles_exn machine config kernel variant in
       let best = Space.to_variant best_point ~active_cpes in
       let best_cycles = run_variant best in
       let default =
@@ -55,8 +55,9 @@ let pick_and_validate ~active_cpes ?default (config : Sw_sim.Config.t) kernel = 
       in
       Some (best, best_cycles, run_variant default)
 
-let tune ~backend ?(strategy = Search.exhaustive) ?(active_cpes = 64) ?default ?pool ?obs
-    ?checkpoint (config : Sw_sim.Config.t) kernel ~points =
+let tune ~backend ?(machine = Backend.simulator) ?(strategy = Search.exhaustive)
+    ?(active_cpes = 64) ?default ?pool ?obs ?checkpoint (config : Sw_sim.Config.t) kernel
+    ~points =
   (* Observability never steers the search: [instrument] wraps the
      backend with pure recording, so verdicts — and hence the argmin —
      are byte-identical with and without [obs]. *)
@@ -132,7 +133,7 @@ let tune ~backend ?(strategy = Search.exhaustive) ?(active_cpes = 64) ?default ?
   let journal_hits = match jnl with Some j -> Backend.journal_hits j | None -> 0 in
   let journal_misses = match jnl with Some j -> Backend.journal_misses j | None -> 0 in
   Option.iter Backend.journal_close jnl;
-  match pick_and_validate ~active_cpes ?default config kernel scored with
+  match pick_and_validate ~machine ~active_cpes ?default config kernel scored with
   | None ->
       let detail =
         match
@@ -190,8 +191,8 @@ let sum_stat = fold_stat ( +. )
 let max_stat = fold_stat Float.max
 
 let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
-    ?(active_cpes = 64) ?default ?(max_restarts = 2) ?hang_timeout_s
-    (config : Sw_sim.Config.t) kernel ~points =
+    ?(machine = Backend.simulator) ?(active_cpes = 64) ?default ?(max_restarts = 2)
+    ?hang_timeout_s (config : Sw_sim.Config.t) kernel ~points =
   if workers < 1 then invalid_arg "Tuner.tune_sharded: workers must be >= 1";
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
@@ -243,7 +244,7 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
                 None)
           points
       in
-      match pick_and_validate ~active_cpes ?default config kernel priced with
+      match pick_and_validate ~machine ~active_cpes ?default config kernel priced with
       | None ->
           Error
             (`No_feasible_point

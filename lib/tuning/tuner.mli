@@ -33,9 +33,15 @@ type outcome = {
   strategy : string;  (** {!Search.name} of the strategy that walked the space. *)
   best : Sw_swacc.Kernel.variant;
   best_cycles : float;
-      (** Simulated cycles of the chosen variant (quality measure; this
-          one validation run is {e not} part of the tuning cost). *)
-  default_cycles : float;  (** Simulated cycles of the default variant. *)
+      (** Simulated cycles of the chosen variant, priced by the tune's
+          validating [machine] backend (quality measure; this one
+          validation is {e not} part of the tuning cost).  In the
+          daemon the machine is the shared [memo(sim)], so a repeated
+          tune — or a ["sim"] tune whose search just priced the pick —
+          answers it from the memo, bit-identical to a fresh run. *)
+  default_cycles : float;
+      (** Simulated cycles of the default variant, validated the same
+          way as [best_cycles]. *)
   speedup : float;  (** [default_cycles / best_cycles]. *)
   tuning_host_s : float;
       (** Monotonic wall-clock seconds spent assessing variants — the
@@ -85,6 +91,7 @@ type outcome = {
 
 val tune :
   backend:Sw_backend.Backend.t ->
+  ?machine:Sw_backend.Backend.t ->
   ?strategy:Search.t ->
   ?active_cpes:int ->
   ?default:Sw_swacc.Kernel.variant ->
@@ -102,7 +109,11 @@ val tune :
     at what budget; [default] defaults to the first {e priced} point
     with unroll 1 (pass an explicit [default] when comparing strategies
     — a pruning strategy may not price the same first point);
-    [active_cpes] to one core group's 64.
+    [active_cpes] to one core group's 64.  [machine] (default
+    {!Sw_backend.Backend.simulator}) prices [best_cycles] and
+    [default_cycles]; pass a memoized simulator to answer repeated
+    validations from its table.  It is never instrumented or journaled,
+    and its runs are not billed to the tune.
 
     When [pool] is given, variant assessment fans out over its domains.
     The argmin is order-independent (strict improvement only, ties
@@ -143,6 +154,7 @@ val tune_sharded :
   workers:int ->
   argv:(shard:int -> journal:string -> string array) ->
   journal_of:(int -> string) ->
+  ?machine:Sw_backend.Backend.t ->
   ?active_cpes:int ->
   ?default:Sw_swacc.Kernel.variant ->
   ?max_restarts:int ->
@@ -193,8 +205,8 @@ val tune_sharded :
     pass rejected are never journaled; each worker's [Done] stats carry
     their count as ["rank_rejected"], and they count as [infeasible],
     as in {!tune}.  [best_cycles] and
-    [default_cycles] are the usual one-per-variant validation runs,
-    executed by the coordinator. *)
+    [default_cycles] are the usual one-per-variant validations, priced
+    by the coordinator's [machine] as in {!tune}. *)
 
 val tune_exn :
   backend:Sw_backend.Backend.t ->

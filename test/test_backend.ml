@@ -45,6 +45,75 @@ let test_simulator_matches_engine () =
     (Sw_util.Units.cycles_to_us ~freq_hz:p.Sw_arch.Params.freq_hz expected)
     verdict.Backend.cost.Backend.machine_us
 
+(* The tune tail prices its pick and default through [Backend.simulator]
+   (a memoized one in the daemon).  It must read the bits of
+   [Machine.cycles] on the cached lowering — unbudgeted, under a cutoff
+   the run finishes within (the verdict a pruned search stores in the
+   memo), and as a memo hit — at each Table II kernel's registry
+   variant, the tuner's default and the in-process model and shortlist
+   argmins. *)
+let test_simulator_bitwise_machine_cycles () =
+  let bits = Int64.bits_of_float in
+  let check_bits what expected got =
+    if bits expected <> bits got then Alcotest.failf "%s: %h <> %h" what got expected
+  in
+  List.iter
+    (fun (e : Sw_workloads.Registry.entry) ->
+      let name = e.Sw_workloads.Registry.name in
+      let kernel = e.Sw_workloads.Registry.build ~scale:0.25 in
+      let points =
+        Sw_tuning.Space.enumerate ~grains:e.Sw_workloads.Registry.grains
+          ~unrolls:e.Sw_workloads.Registry.unrolls ()
+      in
+      let model = Sw_tuning.Tuner.tune_exn ~backend:Backend.static_model config kernel ~points in
+      let shortlist =
+        Sw_tuning.Tuner.tune_exn ~backend:Backend.simulator
+          ~strategy:(Sw_tuning.Search.shortlist ~k:4 ())
+          config kernel ~points
+      in
+      let memo = Backend.memoize Backend.simulator in
+      List.iter
+        (fun (label, v, tuned) ->
+          let what = Printf.sprintf "%s %s" name label in
+          let expected =
+            Sw_backend.Machine.cycles config (Sw_swacc.Lower.lower_cached_exn p kernel v)
+          in
+          check_bits (what ^ " simulator") expected
+            (Backend.cycles_exn Backend.simulator config kernel v);
+          List.iter
+            (fun cutoff ->
+              match Backend.assess_budget ~cutoff Backend.simulator config kernel v with
+              | Backend.Assessed verdict ->
+                  check_bits (what ^ " under a cutoff") expected verdict.Backend.cycles
+              | _ -> Alcotest.failf "%s: cut off under cutoff %g" what cutoff)
+            [ expected; 2.0 *. expected ];
+          let b = Backend.memoized memo in
+          check_bits (what ^ " memo miss") expected (Backend.cycles_exn b config kernel v);
+          check_bits (what ^ " memo hit") expected (Backend.cycles_exn b config kernel v);
+          Option.iter (check_bits (what ^ " outcome") expected) tuned)
+        [
+          ("registry variant", e.Sw_workloads.Registry.variant, None);
+          ("model argmin", model.Sw_tuning.Tuner.best, Some model.Sw_tuning.Tuner.best_cycles);
+          ( "shortlist argmin",
+            shortlist.Sw_tuning.Tuner.best,
+            Some shortlist.Sw_tuning.Tuner.best_cycles );
+          ( "tuner default",
+            (* the first point the model priced, at unroll 1 *)
+            (let p0 =
+               List.find
+                 (fun pt ->
+                   Result.is_ok
+                     (Backend.assess Backend.static_model config kernel
+                        (Sw_tuning.Space.to_variant pt ~active_cpes:64)))
+                 points
+             in
+             Sw_tuning.Space.to_variant
+               { p0 with Sw_tuning.Space.unroll = 1; double_buffer = false }
+               ~active_cpes:64),
+            Some model.Sw_tuning.Tuner.default_cycles );
+        ])
+    Sw_workloads.Registry.tuning_subset
+
 let test_roofline_matches_analyze () =
   let e = entry "nbody" in
   let kernel = kernel_of "nbody" 0.5 in
@@ -169,6 +238,37 @@ let test_memo_hit_miss_accounting () =
   Backend.memo_clear memo;
   ignore (Backend.assess b config kernel v);
   Alcotest.(check int) "cleared table misses again" 3 (Backend.memo_misses memo)
+
+(* Every key of a dense 64-grain x 8-unroll x double-buffer sweep, on
+   every Table II kernel, files under its own hash.  The generic
+   structural hash reaches only the grain of such a key, which put
+   1,024 keys in 64 buckets. *)
+let test_memo_hash_distinct () =
+  let variants =
+    Sw_tuning.Space.enumerate ~grains:(List.init 64 succ) ~unrolls:(List.init 8 succ)
+      ~double_buffers:[ false; true ] ()
+    |> List.map (Sw_tuning.Space.to_variant ~active_cpes:64)
+  in
+  let hashes =
+    List.concat_map
+      (fun (e : Sw_workloads.Registry.entry) ->
+        let kernel = e.Sw_workloads.Registry.build ~scale:0.25 in
+        List.map (Backend.memo_hash config kernel) variants)
+      Sw_workloads.Registry.tuning_subset
+  in
+  let keys = List.length variants * List.length Sw_workloads.Registry.tuning_subset in
+  Alcotest.(check int) "one hash per key" keys (List.length (List.sort_uniq compare hashes));
+  let kernel = kernel_of "kmeans" 0.25 in
+  let v = List.hd variants in
+  Alcotest.(check bool) "cpes count" true
+    (Backend.memo_hash config kernel v
+    <> Backend.memo_hash config kernel { v with Sw_swacc.Kernel.active_cpes = 32 });
+  let faulty =
+    { config with
+      Sw_sim.Config.faults = { config.Sw_sim.Config.faults with Sw_sim.Config.fault_seed = 7 } }
+  in
+  Alcotest.(check bool) "fault seed counts" true
+    (Backend.memo_hash config kernel v <> Backend.memo_hash faulty kernel v)
 
 let test_memo_caches_infeasibility () =
   let memo = Backend.memoize Backend.static_model in
@@ -348,12 +448,15 @@ let tests =
     [
       Alcotest.test_case "static model = Predict.run" `Quick test_static_model_matches_predict;
       Alcotest.test_case "simulator = Engine.run" `Quick test_simulator_matches_engine;
+      Alcotest.test_case "simulator = Machine.cycles bit for bit" `Quick
+        test_simulator_bitwise_machine_cycles;
       Alcotest.test_case "roofline = Roofline.analyze" `Quick test_roofline_matches_analyze;
       Alcotest.test_case "infeasible variant rejected" `Quick test_infeasible_variant_rejected;
       Alcotest.test_case "tuner = hand-rolled search" `Quick test_tuner_matches_hand_rolled_search;
       Alcotest.test_case "table2 rows pool-invariant" `Slow test_table2_rows_pool_invariant;
       Alcotest.test_case "fig6 rows pool-invariant" `Slow test_fig6_rows_pool_invariant;
       Alcotest.test_case "memo hit/miss accounting" `Quick test_memo_hit_miss_accounting;
+      Alcotest.test_case "memo hashes distinct variants apart" `Quick test_memo_hash_distinct;
       Alcotest.test_case "memo caches infeasibility" `Quick test_memo_caches_infeasibility;
       Alcotest.test_case "memo composes with pool" `Quick test_memo_composes_with_pool;
       Alcotest.test_case "hybrid = static without gloads" `Quick test_hybrid_no_gloads_equals_static;

@@ -318,11 +318,13 @@ let test_supervise_quarantine () =
   | _ -> Alcotest.fail "quarantined slot must report Null, healthy slot its stats")
 
 (* A silent worker trips the progress deadline, is killed, and the
-   relaunch (which exits promptly) completes the run. *)
+   relaunch (which exits promptly) completes the run.  [exec] makes the
+   sleep the worker process itself, so the kill lands on it and no
+   orphaned sleep holds the test's stdout open. *)
 let test_supervise_hang () =
   let script =
     {|if [ "${SWPM_CHAOS_INCARNATION:-0}" = "0" ]; then
-        sleep 30
+        exec sleep 30
       else
         echo '{"ev": "done", "stats": {"shard": 0, "cpu_s": 0.0}}'
       fi|}

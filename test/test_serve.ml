@@ -282,6 +282,85 @@ let test_shared_memo_across_requests () =
   Alcotest.(check (float 0.0)) "second request hit the shared memo" (hits_before +. 1.0)
     (Sink.counter (Handler.sink state) "memo.hits")
 
+(* A tune validates its pick and default through the state's shared
+   memo(sim).  Each tune below looks the memo up exactly twice beyond
+   its search (instrumented through [obs]) and its ranking pass (one
+   lookup per point) — on the first run too, where a "sim" tune's
+   validations hit the verdicts its own search just stored.  Running
+   the same tunes again on the same state misses nothing but the
+   verifications an adaptive cutoff abandoned (the memo never stores a
+   [Cut_off]), and every answer is bit-identical to a fresh state's.
+   The sharded tune validates in the coordinator, so its two lookups
+   are its only ones. *)
+let test_repeated_tunes_hit_the_memo () =
+  Unix.putenv "SWPM_WORKER_EXE" Sys.executable_name;
+  let base kernel =
+    { (Handler.tune_defaults ~kernel) with Handler.t_scale = 0.25; t_seed = Some 5 }
+  in
+  let adaptive kernel backend =
+    { (base kernel) with Handler.t_backend = backend; t_strategy = "adaptive"; t_rank = Some "model" }
+  in
+  let reqs =
+    [
+      ("sim", { (base "kmeans") with Handler.t_backend = "sim" });
+      ("model", { (base "cfd") with Handler.t_backend = "model" });
+      ("adaptive", adaptive "backprop" "model");
+      ("sim-verified adaptive", adaptive "lud" "sim");
+      ("sharded", { (base "hotspot") with Handler.t_backend = "model"; t_workers = 2 });
+    ]
+  in
+  let answer (o : Sw_tuning.Tuner.outcome) =
+    Sw_tuning.Tuner.(o.best, Int64.bits_of_float o.best_cycles, Int64.bits_of_float o.default_cycles)
+  in
+  let tune ?obs state t =
+    match Handler.tune state ?obs t with
+    | Ok tr -> tr.Handler.tr_outcome
+    | Error msg -> Alcotest.failf "tune failed: %s" msg
+  in
+  let state = Handler.create () in
+  let counter name = Sink.counter (Handler.sink state) name in
+  let sum_counters obs suffixes =
+    List.fold_left
+      (fun n (key, v) ->
+        if List.exists (fun suffix -> String.ends_with ~suffix key) suffixes then n +. v else n)
+      0.0 (Sink.counters obs)
+  in
+  (* one run: its answer, its memo misses and its cut-off verifications *)
+  let run label t =
+    let obs = Sink.create () in
+    let hits0 = counter "memo.hits" and misses0 = counter "memo.misses" in
+    let o = tune ~obs state t in
+    let misses = counter "memo.misses" -. misses0 in
+    let lookups = counter "memo.hits" -. hits0 +. misses in
+    let searched = sum_counters obs [ ".ok"; ".infeasible"; ".cutoff" ] in
+    let ranked =
+      if t.Handler.t_rank = None || t.Handler.t_workers > 1 then 0.0
+      else
+        float_of_int
+          (o.Sw_tuning.Tuner.evaluated + o.Sw_tuning.Tuner.infeasible
+         + o.Sw_tuning.Tuner.points_pruned)
+    in
+    Alcotest.(check (float 0.0)) (label ^ ": two validation lookups") 2.0
+      (lookups -. searched -. ranked);
+    (answer o, misses, searched, sum_counters obs [ ".cutoff" ])
+  in
+  let first = List.map (fun (label, t) -> run label t) reqs in
+  (match first with
+  | (_, misses, searched, _) :: _ ->
+      Alcotest.(check (float 0.0)) "sim: validation reuses the search's verdicts" searched misses
+  | [] -> ());
+  List.iter2
+    (fun (label, t) (first_answer, _, _, _) ->
+      let again, misses, _, cut_offs = run label t in
+      if label = "sim-verified adaptive" then
+        Alcotest.(check bool) (label ^ ": some verification was cut off") true (cut_offs > 0.0);
+      Alcotest.(check (float 0.0)) (label ^ ": repeat misses only cut-off verifications") cut_offs
+        misses;
+      let fresh = answer (tune (Handler.create ()) t) in
+      Alcotest.(check bool) (label ^ ": first run = fresh state") true (first_answer = fresh);
+      Alcotest.(check bool) (label ^ ": repeat = fresh state") true (again = fresh))
+    reqs first
+
 let test_degraded_tune_uses_model () =
   let state = Handler.create () in
   let req =
@@ -899,6 +978,8 @@ let tests =
       Alcotest.test_case "daemon result = one-shot result" `Quick test_daemon_equals_oneshot;
       Alcotest.test_case "memo cache survives across requests" `Quick
         test_shared_memo_across_requests;
+      Alcotest.test_case "repeated tunes validate from the memo" `Quick
+        test_repeated_tunes_hit_the_memo;
       Alcotest.test_case "degraded tune sheds to the model" `Quick
         test_degraded_tune_uses_model;
       Alcotest.test_case "surrogate-ranked tune via the handler" `Quick
