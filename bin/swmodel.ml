@@ -496,18 +496,17 @@ let timeline_cmd =
     let state = Sw_serve.Handler.create () in
     match Sw_serve.Handler.timeline state ?obs:sink req with
     | Error msg -> handler_error msg
-    | Ok (metrics, trace) ->
-        if json then
-          print_endline
-            (Sw_obs.Json.to_string (Sw_serve.Handler.timeline_payload req metrics trace))
+    | Ok payload ->
+        if json then print_endline (Sw_obs.Json.to_string payload)
         else begin
-          print_string
-            (Sw_sim.Trace.render ~width:100 ~max_cpes:16 ~makespan:metrics.Sw_sim.Metrics.cycles
-               trace);
-          Format.printf "makespan %a@." Sw_util.Units.pp_cycles metrics.Sw_sim.Metrics.cycles;
-          if metrics.Sw_sim.Metrics.retries > 0 then
-            Format.printf "dma retries %d (%.0f backoff cycles)@." metrics.Sw_sim.Metrics.retries
-              metrics.Sw_sim.Metrics.backoff_cycles
+          let field name conv = Option.get (Option.bind (Sw_obs.Json.member name payload) conv) in
+          print_string (field "rendered" Sw_obs.Json.to_str);
+          Format.printf "makespan %a@." Sw_util.Units.pp_cycles
+            (field "makespan_cycles" Sw_obs.Json.to_float);
+          let retries = field "retries" Sw_obs.Json.to_int in
+          if retries > 0 then
+            Format.printf "dma retries %d (%.0f backoff cycles)@." retries
+              (field "backoff_cycles" Sw_obs.Json.to_float)
         end;
         Option.iter (fun path -> write_trace path (Option.get sink)) trace_out
   in

@@ -336,9 +336,10 @@ type memo = {
   memo_clear : unit -> unit;
 }
 
-(* A key is either resolved or being computed right now; waiters block
-   on the condition until the computing domain publishes its result. *)
-type memo_slot = Memo_done of assessment | Memo_running
+(* A key is resolved, proved to cost more than a bound, or being
+   computed right now; waiters block on the condition until the
+   computing domain publishes its result. *)
+type memo_slot = Memo_done of assessment | Memo_bound of float | Memo_running
 
 let memoize ?sink (inner : t) : memo =
   let module I = (val inner : S) in
@@ -369,10 +370,16 @@ let memoize ?sink (inner : t) : memo =
           mk_config = config;
         }
       in
+      (* A stored bound [at] answers only what a run would answer
+         without looking at [at]'s exact value: under [cutoff = c] with
+         no event budget, cycles >= at > c means the run is cut off. *)
+      let proves_cut at =
+        match (cutoff, event_budget) with Some c, None -> at > c | _ -> false
+      in
       (* single-flight: racing misses of one key wait for the first
          domain instead of computing again, so the inner backend is
-         asked exactly once per distinct key (Cut_off aside) and the
-         counters are exact under any fan-out *)
+         asked once per miss and the counters are exact under any
+         fan-out *)
       let decision =
         Mutex.lock lock;
         Fun.protect
@@ -381,12 +388,13 @@ let memoize ?sink (inner : t) : memo =
             let rec acquire () =
               match Memo_table.find_opt table key with
               | Some (Memo_done r) -> `Hit r
+              | Some (Memo_bound at) when proves_cut at -> `Hit (Cut_off { at; cost = zero_cost })
               | Some Memo_running ->
                   Condition.wait cond lock;
                   acquire ()
-              | None ->
+              | slot ->
                   Memo_table.replace table key Memo_running;
-                  `Miss
+                  `Miss (match slot with Some (Memo_bound at) -> Some at | _ -> None)
             in
             acquire ())
       in
@@ -399,30 +407,37 @@ let memoize ?sink (inner : t) : memo =
              more informative than a Cut_off *)
           (match r with
           | Assessed v -> Assessed { v with cost = zero_cost }
-          | Infeasible _ as r -> r
-          | Cut_off _ -> assert false (* never stored *))
-      | `Miss ->
+          | Infeasible _ -> r
+          | Cut_off _ ->
+              observe "memo.cutoff_hits";
+              r)
+      | `Miss bound ->
           Atomic.incr misses;
           observe "memo.misses";
           let publish slot =
             Mutex.lock lock;
             (match slot with
-            | Some r -> Memo_table.replace table key (Memo_done r)
+            | Some s -> Memo_table.replace table key s
             | None -> Memo_table.remove table key);
             Condition.broadcast cond;
             Mutex.unlock lock
           in
+          (* a bound is never weakened: a failed or shorter re-run
+             leaves the strongest one proved so far *)
+          let strongest at =
+            Memo_bound (match bound with Some b -> Float.max b at | None -> at)
+          in
           (match I.assess ?cutoff ?event_budget config kernel variant with
           | exception e ->
-              publish None;
+              publish (Option.map (fun b -> Memo_bound b) bound);
               raise e
-          | Cut_off _ as r ->
-              (* a Cut_off is budget-dependent, not a property of the
-                 variant: don't poison the table with it *)
-              publish None;
+          | Cut_off { at; _ } as r ->
+              (* the engine's clock is monotone, so a run stopped at
+                 [at] — by a cutoff or by a budget — costs >= at *)
+              publish (Some (strongest at));
               r
           | (Assessed _ | Infeasible _) as r ->
-              publish (Some r);
+              publish (Some (Memo_done r));
               r)
   end in
   {

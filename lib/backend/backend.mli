@@ -215,14 +215,21 @@ val instrument : Sw_obs.Sink.t -> t -> t
     mutex-guarded and composes with {!Sw_util.Pool} fan-out: misses are
     {e single-flight} — racing misses of one key block on a condition
     until the first domain publishes, so the inner backend is asked
-    exactly once per distinct key and the hit/miss counters are exact
-    under any concurrency (waiters count as hits; they did not
-    compute).
+    once per miss and the hit/miss counters are exact under any
+    concurrency (a waiter the published result answers counts as a
+    hit; it did not compute).
 
-    Budgets and the cache: a [Cut_off] is a property of the budget, not
-    the variant, so it is never stored; a hit under a budget returns
-    the cached full verdict (free, and strictly more informative than
-    re-deriving a [Cut_off]). *)
+    Budgets and the cache: a hit under a budget returns the cached full
+    verdict (free, and strictly more informative than re-deriving a
+    [Cut_off]).  A [Cut_off { at }] is stored as a lower bound: the
+    engine's clock is monotone, so the variant costs at least [at]
+    cycles.  A later lookup with [cutoff = Some c], no [event_budget]
+    and [at > c] is a hit answering [Cut_off { at; cost = zero_cost }]
+    — a run under [c] would be cut off too, though it might stop at a
+    different [at]; searches read only whether [at > c].  Every other
+    lookup of a bounded key recomputes.  A stored bound is never
+    weakened: a re-run that raises or cuts off earlier (under an event
+    budget) keeps the strongest bound proved so far. *)
 
 type memo
 
@@ -230,7 +237,8 @@ val memoize : ?sink:Sw_obs.Sink.t -> t -> memo
 (** With [sink], every hit/miss also bumps the ["memo.hits"] /
     ["memo.misses"] counters there, mirroring {!memo_hits} /
     {!memo_misses} exactly (both are incremented on the same code
-    path). *)
+    path).  A hit answered by a stored bound also bumps
+    ["memo.cutoff_hits"], a subset of ["memo.hits"]. *)
 
 val memoized : memo -> t
 (** The wrapping backend (named ["memo(<inner>)"]). *)

@@ -6,6 +6,21 @@ let ( let* ) = Result.bind
 (* ------------------------------------------------------------------ *)
 (* Shared state *)
 
+(* A fixed-size table that forgets its oldest entry first. *)
+type ('k, 'v) fifo = { tbl : ('k, 'v) Hashtbl.t; order : 'k Queue.t; capacity : int }
+
+let fifo capacity = { tbl = Hashtbl.create capacity; order = Queue.create (); capacity }
+
+let fifo_add t k v =
+  if not (Hashtbl.mem t.tbl k) then begin
+    if Queue.length t.order >= t.capacity then Hashtbl.remove t.tbl (Queue.pop t.order);
+    Queue.push k t.order;
+    Hashtbl.add t.tbl k v
+  end
+
+let kernel_slots = 64
+let timeline_slots = 64
+
 type state = {
   sink : Sw_obs.Sink.t;
   state_dir : string option;
@@ -13,6 +28,8 @@ type state = {
   lock : Mutex.t;
   backends : (string, Backend.t) Hashtbl.t;  (* canonical name -> shared memo *)
   estimates : (string, float) Hashtbl.t;  (* service class -> EWMA host seconds *)
+  kernels : (string * int64, Sw_swacc.Kernel.t) fifo;  (* (name, scale bits) -> kernel *)
+  timelines : (string, Json.t) fifo;  (* canonical request, seed resolved -> payload *)
 }
 
 let create ?sink ?state_dir ?sim_timeout_s () =
@@ -27,6 +44,8 @@ let create ?sink ?state_dir ?sim_timeout_s () =
     lock = Mutex.create ();
     backends = Hashtbl.create 8;
     estimates = Hashtbl.create 8;
+    kernels = fifo kernel_slots;
+    timelines = fifo timeline_slots;
   }
 
 let sink state = state.sink
@@ -478,6 +497,21 @@ let entry_of name =
         (Printf.sprintf "unknown kernel %S (available: %s)" name
            (String.concat ", " (Sw_workloads.Registry.names ())))
 
+(* One kernel value per (kernel, scale) for the state's lifetime: the
+   lowering, shape, block and engine compile caches key on a kernel's
+   physical identity, so a kernel rebuilt per request would never hit
+   them across requests.  Built under the lock, so racing requests get
+   the same value. *)
+let kernel state (entry : Sw_workloads.Registry.entry) ~scale =
+  let key = (entry.Sw_workloads.Registry.name, Int64.bits_of_float scale) in
+  Mutex.protect state.lock (fun () ->
+      match Hashtbl.find_opt state.kernels.tbl key with
+      | Some k -> k
+      | None ->
+          let k = entry.Sw_workloads.Registry.build ~scale in
+          fifo_add state.kernels key k;
+          k)
+
 let variant_of (entry : Sw_workloads.Registry.entry) grain unroll cpes db =
   let base = entry.variant in
   {
@@ -501,7 +535,7 @@ let simulating = function "sim" | "hybrid" -> true | _ -> false
 let predict state ?obs p =
   let* entry = entry_of p.p_kernel in
   let* config = predict_config p in
-  let kernel = entry.Sw_workloads.Registry.build ~scale:p.p_scale in
+  let kernel = kernel state entry ~scale:p.p_scale in
   let variant = variant_of entry p.p_grain p.p_unroll p.p_cpes p.p_db in
   let* canonical, shared = backend state p.p_backend in
   (* The timeout chain degrades an over-budget simulation to the model
@@ -684,7 +718,7 @@ let sharded_tune state t config kernel points =
 let tune state ?(degrade = false) ?pool ?obs t =
   let* entry = entry_of t.t_kernel in
   let* config = tune_config t in
-  let kernel = entry.Sw_workloads.Registry.build ~scale:t.t_scale in
+  let kernel = kernel state entry ~scale:t.t_scale in
   let* points = tune_points t entry in
   let n_points = List.length points in
   if (not degrade) && t.t_workers > 1 then sharded_tune state t config kernel points
@@ -859,25 +893,6 @@ let worker_main spec =
     finish stats;
     Ok ()
 
-(* --- timeline ----------------------------------------------------- *)
-
-let timeline state ?obs l =
-  ignore state;
-  let* entry = entry_of l.l_kernel in
-  let* config = timeline_config l in
-  let kernel = entry.Sw_workloads.Registry.build ~scale:l.l_scale in
-  let variant = variant_of entry l.l_grain l.l_unroll l.l_cpes l.l_db in
-  let* lowered =
-    match Sw_swacc.Lower.lower config.Sw_sim.Config.params kernel variant with
-    | Ok lowered -> Ok lowered
-    | Error reason -> Error (Printf.sprintf "cannot lower %s: %s" l.l_kernel reason)
-  in
-  let programs = lowered.Sw_swacc.Lowered.programs in
-  Ok
-    (match obs with
-    | Some s -> Sw_obs.Probe.run_traced s ~name:l.l_kernel config programs
-    | None -> Sw_sim.Engine.run_traced config programs)
-
 (* ------------------------------------------------------------------ *)
 (* Payloads *)
 
@@ -972,6 +987,52 @@ let timeline_payload l (metrics : Sw_sim.Metrics.t) trace =
              ~makespan:metrics.Sw_sim.Metrics.cycles trace) );
     ]
 
+(* --- timeline ----------------------------------------------------- *)
+
+(* A timeline is a pure function of its canonical request once the
+   seed is resolved, so the state keeps the last [timeline_slots]
+   payloads under that key. *)
+let timeline_key l =
+  let l = { l with l_seed = Some (Option.value l.l_seed ~default:(Sw_util.Prng.global_seed ())) } in
+  Json.to_string (verb_to_json (Timeline l))
+
+let cached_timeline state key =
+  Mutex.protect state.lock (fun () -> Hashtbl.find_opt state.timelines.tbl key)
+
+let simulate_timeline state ?obs l =
+  let* entry = entry_of l.l_kernel in
+  let* config = timeline_config l in
+  let kernel = kernel state entry ~scale:l.l_scale in
+  let variant = variant_of entry l.l_grain l.l_unroll l.l_cpes l.l_db in
+  let* lowered =
+    match Sw_swacc.Lower.lower_cached config.Sw_sim.Config.params kernel variant with
+    | Ok lowered -> Ok lowered
+    | Error reason -> Error (Printf.sprintf "cannot lower %s: %s" l.l_kernel reason)
+  in
+  let programs = lowered.Sw_swacc.Lowered.programs in
+  let metrics, trace =
+    match obs with
+    | Some s -> Sw_obs.Probe.run_traced s ~name:l.l_kernel config programs
+    | None -> Sw_sim.Engine.run_traced config programs
+  in
+  Ok (timeline_payload l metrics trace)
+
+(* A traced call skips the table, so its spans are recorded. *)
+let timeline state ?obs l =
+  match obs with
+  | Some _ -> simulate_timeline state ?obs l
+  | None -> (
+      let key = timeline_key l in
+      match cached_timeline state key with
+      | Some payload ->
+          Sw_obs.Sink.incr state.sink "timeline.hits";
+          Ok payload
+      | None ->
+          Sw_obs.Sink.incr state.sink "timeline.misses";
+          let* payload = simulate_timeline state l in
+          Mutex.protect state.lock (fun () -> fifo_add state.timelines key payload);
+          Ok payload)
+
 let metrics_text ?extra state = Sw_obs.Sink.render_metrics ?extra state.sink
 
 let metrics_of_trace path =
@@ -1057,14 +1118,19 @@ let op_name = function
    runs.  Requests are bucketed into coarse classes (op x does-it-
    simulate x degraded) and each class keeps an EWMA of observed host
    seconds, seeded with a conservative prior so the very first
-   simulation request is not admitted against a 1 ms guess. *)
-let estimate_class ?(degrade = false) verb =
+   simulation request is not admitted against a 1 ms guess.  A
+   timeline the table already holds is its own class, so its
+   sub-millisecond answers do not drag down the forecast for a cold
+   one. *)
+let estimate_class state ?(degrade = false) verb =
   match verb with
   | Ping -> ("ping", 1e-4)
   | Shutdown -> ("shutdown", 1e-4)
   | Metrics -> ("metrics", 1e-3)
   | Predict p -> if simulating p.p_backend then ("predict:sim", 0.1) else ("predict:static", 2e-3)
-  | Timeline _ -> ("timeline", 0.1)
+  | Timeline l ->
+      if cached_timeline state (timeline_key l) <> None then ("timeline:cached", 1e-3)
+      else ("timeline", 0.1)
   | Tune t ->
       if degrade then ("tune:degraded", 0.05)
       else if simulating t.t_backend || Option.fold ~none:false ~some:simulating t.t_rank then
@@ -1072,24 +1138,24 @@ let estimate_class ?(degrade = false) verb =
       else ("tune:static", 0.1)
 
 let estimate_s state ?degrade request =
-  let cls, prior = estimate_class ?degrade request.verb in
-  Mutex.lock state.lock;
-  let v = Option.value (Hashtbl.find_opt state.estimates cls) ~default:prior in
-  Mutex.unlock state.lock;
-  v
+  let cls, prior = estimate_class state ?degrade request.verb in
+  Mutex.protect state.lock (fun () ->
+      Option.value (Hashtbl.find_opt state.estimates cls) ~default:prior)
 
-let observe_service state ?degrade request seconds =
-  if seconds >= 0.0 then begin
-    let cls, prior = estimate_class ?degrade request.verb in
-    Mutex.lock state.lock;
-    let prev = Option.value (Hashtbl.find_opt state.estimates cls) ~default:prior in
-    Hashtbl.replace state.estimates cls ((0.7 *. prev) +. (0.3 *. seconds));
-    Mutex.unlock state.lock
-  end
+(* Fold one observed service time into its class's EWMA.  The class is
+   taken before the request runs: a timeline that misses is stored by
+   the time it finishes, and must still count as a cold one. *)
+let observe_service state (cls, prior) seconds =
+  if seconds >= 0.0 then
+    Mutex.protect state.lock (fun () ->
+        let prev = Option.value (Hashtbl.find_opt state.estimates cls) ~default:prior in
+        Hashtbl.replace state.estimates cls ((0.7 *. prev) +. (0.3 *. seconds)))
 
 let run state ?(degrade = false) ?(resumed = false) ?pool ?obs request =
   Sw_obs.Sink.incr state.sink "handler.requests";
   Sw_obs.Sink.incr state.sink ("handler." ^ op_name request.verb);
+  let cls = estimate_class state ~degrade request.verb in
+  let t0 = Unix.gettimeofday () in
   let result, degraded =
     (* A request must never take the daemon down: anything the layers
        below throw (event limits, invalid configs) is an error
@@ -1120,9 +1186,10 @@ let run state ?(degrade = false) ?(resumed = false) ?pool ?obs request =
           | Error msg -> (Error msg, false))
       | Timeline l -> (
           match timeline state ?obs l with
-          | Ok (metrics, trace) -> (Ok (timeline_payload l metrics trace), false)
+          | Ok payload -> (Ok payload, false)
           | Error msg -> (Error msg, false))
     with exn -> (Error (Printexc.to_string exn), false)
   in
+  observe_service state cls (Unix.gettimeofday () -. t0);
   if Result.is_error result then Sw_obs.Sink.incr state.sink "handler.errors";
   { id = request.id; degraded; resumed; deadline_exceeded = false; result }

@@ -13,9 +13,14 @@
     long-running server worth having: one {!Sw_obs.Sink.t} accumulating
     counters across requests, and one memoizing wrapper per backend
     ({!Sw_backend.Backend.memoize}) so repeated assessments of the same
-    (config, kernel, variant) key are answered from cache — on top of
-    the global [Lower.lower_cached] and [Sw_isa.Schedule.block_costs]
-    caches that already survive across calls.  Every tune, sharded or
+    (config, kernel, variant) key are answered from cache, including a
+    cut-off the memo has already proved — on top of the global
+    [Lower.lower_cached] and [Sw_isa.Schedule.block_costs] caches that
+    already survive across calls.  The state builds each registry
+    (kernel, scale) once and hands every request that value, so those
+    caches, which key on a kernel's physical identity, hit across
+    requests too; and it keeps a fixed-size table of timeline payloads
+    ({!timeline}).  Every tune, sharded or
     not, also validates its pick and default through the shared
     [memo(sim)], so a repeated tune (or a ["sim"] tune, whose search
     just stored the pick's verdict) validates from cache; the
@@ -261,15 +266,20 @@ val worker_main : string -> (unit, string) result
     worker link, and kills/stalls fire after the planned number of
     newly journaled lines. *)
 
-val timeline :
-  state ->
-  ?obs:Sw_obs.Sink.t ->
-  timeline_req ->
-  (Sw_sim.Metrics.t * Sw_sim.Trace.t, string) result
+val timeline : state -> ?obs:Sw_obs.Sink.t -> timeline_req -> (Sw_obs.Json.t, string) result
+(** The timeline payload: makespan, event and retry counts, and the
+    rendered per-CPE activity chart.  The state keeps the last
+    {!timeline_slots} payloads, keyed on the canonical request with the
+    seed resolved, so a repeated timeline is answered from the table
+    (counted as ["timeline.hits"], a simulation as ["timeline.misses"]).
+    A call with [obs] always simulates, recording its spans there, and
+    leaves the table alone. *)
+
+val timeline_slots : int
+(** How many timeline payloads a {!state} keeps (oldest out first). *)
 
 val predict_payload : predict_req -> predict_result -> Sw_obs.Json.t
 val tune_payload : tune_req -> tune_result -> Sw_obs.Json.t
-val timeline_payload : timeline_req -> Sw_sim.Metrics.t -> Sw_sim.Trace.t -> Sw_obs.Json.t
 
 val metrics_text : ?extra:(string * float) list -> state -> string
 (** {!Sw_obs.Sink.render_metrics} of the shared sink. *)
@@ -292,13 +302,9 @@ val estimate_s : state -> ?degrade:bool -> request -> float
 (** Forecast host seconds for serving [request], from an EWMA of
     observed service times bucketed by coarse request class (op ×
     simulating-or-not × degraded), seeded with conservative priors.
+    A timeline the state's table already holds is a class of its own.
     The server's deadline admission compares this (plus queue backlog)
     against [deadline_ms]. *)
-
-val observe_service : state -> ?degrade:bool -> request -> float -> unit
-(** Feed one observed service time (host seconds) back into the class
-    EWMA ([new = 0.7*old + 0.3*obs]); negative observations are
-    ignored. *)
 
 val run :
   state ->
@@ -312,4 +318,6 @@ val run :
     ({!Sw_sim.Engine.Event_limit}, invalid configurations, …) become
     error responses, so a malformed or explosive request cannot take
     the daemon down.  Bumps ["handler.requests"], ["handler.<op>"] and
-    ["handler.errors"] on the shared sink. *)
+    ["handler.errors"] on the shared sink, and folds the request's host
+    seconds into its {!estimate_s} class ([new = 0.7*old + 0.3*obs]),
+    the class taken before it runs. *)

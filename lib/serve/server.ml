@@ -194,6 +194,9 @@ let preregister_counters state =
       "shard.restarts";
       "shard.quarantined";
       "link.lines_dropped";
+      "memo.cutoff_hits";
+      "timeline.hits";
+      "timeline.misses";
     ]
 
 (* Emit one response to [output], updating the shared counters.  Every
@@ -354,10 +357,8 @@ let process_batch config ?pool state ~log ~stats ~emit lines =
           | `Parse_error msg -> Handler.error_response Json.Null msg
           | `Refuse id -> Handler.deadline_response id
           | `Admit (req, degrade, budget) -> (
-              let t0 = Unix.gettimeofday () in
               let resp = Handler.run state ~degrade req in
               let now = Unix.gettimeofday () in
-              Handler.observe_service state ~degrade req (now -. t0);
               match budget with
               | Some b when now > arrived +. b ->
                   Sw_obs.Sink.incr sink "serve.deadline_missed";

@@ -36,8 +36,9 @@ type outcome = {
    searched; the validation runs are not billed as tuning cost.  A
    memoizing [machine] answers a repeated validation from its table:
    the simulator's unbudgeted run and the budgeted run a pruned search
-   completed are the same engine run, and the memo never stores a
-   [Cut_off], so a hit is bit-identical to re-running.  [None] when
+   completed are the same engine run, and the memo answers an
+   unbudgeted lookup only from a stored verdict, never from a cut-off
+   bound, so a hit is bit-identical to re-running.  [None] when
    nothing was priced. *)
 let pick_and_validate ~machine ~active_cpes ?default config kernel = function
   | [] -> None

@@ -303,6 +303,187 @@ let test_memo_composes_with_pool () =
   Alcotest.(check bool) "second search served from cache" true
     (Backend.memo_hits memo >= List.length points)
 
+(* Cut-off bounds.  The fixture: lud at a small scale, a few feasible
+   variants and one that does not fit in SPM, each with its unbudgeted
+   cycles and event count from the bare simulator. *)
+
+let bound_kernel = kernel_of "lud" 0.1
+
+let bound_variants =
+  Array.of_list
+    (List.map
+       (fun (grain, unroll) ->
+         { Sw_swacc.Kernel.grain; unroll; active_cpes = 64; double_buffer = false })
+       [ (8, 1); (16, 2); (32, 1); (4096, 1) ])
+
+(* cycles and events of a full run; [None] for the infeasible variant *)
+let bound_truth =
+  Array.map
+    (fun v ->
+      match Backend.assess Backend.simulator config bound_kernel v with
+      | Ok verdict -> Some (verdict.Backend.cycles, verdict.Backend.cost.Backend.machine_events)
+      | Error _ -> None)
+    bound_variants
+
+(* the simulator, counting how often it is asked and raising while
+   [fail] is set *)
+let counting_simulator ?(fail = ref false) () =
+  let calls = Atomic.make 0 in
+  let module Counted = struct
+    let name = "sim"
+    let description = "counting simulator"
+
+    let assess ?cutoff ?event_budget config kernel variant =
+      Atomic.incr calls;
+      if !fail then failwith "inner backend failed";
+      Backend.assess_budget ?cutoff ?event_budget Backend.simulator config kernel variant
+  end in
+  ((module Counted : Backend.S), calls)
+
+(* One call: (variant index, cutoff as a fraction of the variant's
+   cycles, event budget as a fraction of its events). *)
+let bound_call (vi, cut, budget) =
+  let cycles, events =
+    match bound_truth.(vi) with Some (c, e) -> (c, e) | None -> (1e4, 1_000)
+  in
+  let cutoff = Option.map (fun i -> cycles *. [| 0.25; 0.5; 0.9; 0.999; 1.0; 1.5 |].(i)) cut in
+  let event_budget =
+    Option.map (fun i -> Stdlib.max 1 (events * [| 1; 4; 16 |].(i) / 8)) budget
+  in
+  (vi, cutoff, event_budget)
+
+(* A memoized answer agrees with the bare simulator's: the same
+   constructor and bits, a cut-off on the same side of the cutoff —
+   except that a stored verdict answers a budgeted call in full, with
+   the unbudgeted cycles. *)
+let bound_agrees (vi, cutoff, _) memo bare =
+  let bits = Int64.bits_of_float in
+  match (memo, bare) with
+  | Backend.Assessed m, Backend.Assessed b -> bits m.Backend.cycles = bits b.Backend.cycles
+  | Backend.Infeasible _, Backend.Infeasible _ -> true
+  | Backend.Cut_off { at = a; _ }, Backend.Cut_off { at = b; _ } -> (
+      match cutoff with Some c -> a > c = (b > c) | None -> bits a = bits b)
+  | Backend.Assessed m, Backend.Cut_off _ -> (
+      match bound_truth.(vi) with
+      | Some (cycles, _) -> bits m.Backend.cycles = bits cycles
+      | None -> false)
+  | _ -> false
+
+let run_bound_call b (vi, cutoff, event_budget) =
+  Backend.assess_budget ?cutoff ?event_budget b config bound_kernel bound_variants.(vi)
+
+let prop_memo_bounds_agree_with_simulator =
+  let call =
+    QCheck.(
+      triple
+        (int_range 0 (Array.length bound_variants - 1))
+        (option (int_range 0 5))
+        (option (int_range 0 2)))
+  in
+  QCheck.Test.make ~name:"memo with cut-off bounds = bare simulator" ~count:40
+    QCheck.(list_of_size Gen.(int_range 1 24) call)
+    (fun calls ->
+      let inner, inner_calls = counting_simulator () in
+      let memo = Backend.memoize inner in
+      let b = Backend.memoized memo in
+      List.for_all
+        (fun c ->
+          let c = bound_call c in
+          bound_agrees c (run_bound_call b c) (run_bound_call Backend.simulator c))
+        calls
+      && Backend.memo_hits memo + Backend.memo_misses memo = List.length calls
+      && Backend.memo_misses memo = Atomic.get inner_calls)
+
+let test_memo_keeps_bounds () =
+  let fail = ref false in
+  let inner, inner_calls = counting_simulator ~fail () in
+  let sink = Sw_obs.Sink.create () in
+  let memo = Backend.memoize ~sink inner in
+  let b = Backend.memoized memo in
+  let cycles, events = Option.get bound_truth.(0) in
+  let v = bound_variants.(0) in
+  let assess ?cutoff ?event_budget () =
+    Backend.assess_budget ?cutoff ?event_budget b config bound_kernel v
+  in
+  let c = 0.5 *. cycles in
+  let at =
+    match assess ~cutoff:c () with
+    | Backend.Cut_off { at; _ } -> at
+    | _ -> Alcotest.fail "expected a cut-off under half the cycles"
+  in
+  let bound = ref at in
+  let expect_bound_hit what =
+    let hits = Backend.memo_hits memo and calls = Atomic.get inner_calls in
+    (match assess ~cutoff:c () with
+    | Backend.Cut_off { at = at'; cost } ->
+        Alcotest.(check (float 0.0)) (what ^ ": the stored bound") !bound at';
+        Alcotest.(check (float 0.0)) (what ^ ": free") 0.0 cost.Backend.machine_us
+    | _ -> Alcotest.fail (what ^ ": expected a cut-off"));
+    Alcotest.(check int) (what ^ ": a hit") (hits + 1) (Backend.memo_hits memo);
+    Alcotest.(check int) (what ^ ": the simulator is not asked") calls (Atomic.get inner_calls)
+  in
+  expect_bound_hit "repeat";
+  (* a budgeted lookup recomputes, and its earlier cut leaves the bound *)
+  (match assess ~cutoff:c ~event_budget:(Stdlib.max 1 (events / 64)) () with
+  | Backend.Cut_off { at = early; _ } ->
+      Alcotest.(check bool) "the budget cut stops earlier" true (early < at)
+  | _ -> Alcotest.fail "expected a budget cut");
+  expect_bound_hit "after a budget cut";
+  (* a cutoff the bound does not clear recomputes, and its later cut
+     strengthens the bound *)
+  let misses = Backend.memo_misses memo in
+  (match assess ~cutoff:at () with
+  | Backend.Cut_off { at = later; _ } ->
+      Alcotest.(check bool) "a stronger bound" true (later > at);
+      bound := later
+  | _ -> Alcotest.fail "expected a cut-off at the bound");
+  Alcotest.(check int) "a looser cutoff recomputes" (misses + 1) (Backend.memo_misses memo);
+  (* an inner backend that raises leaves the bound in place *)
+  fail := true;
+  (match assess () with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected the inner failure");
+  fail := false;
+  expect_bound_hit "after a failure";
+  Alcotest.(check (float 0.0)) "cut-off hits counted" 3.0
+    (Sw_obs.Sink.counter sink "memo.cutoff_hits");
+  Alcotest.(check (float 0.0)) "within the hits" (float_of_int (Backend.memo_hits memo))
+    (Sw_obs.Sink.counter sink "memo.hits");
+  (* the full verdict replaces the bound *)
+  (match assess () with
+  | Backend.Assessed verdict ->
+      Alcotest.(check (float 0.0)) "full run" cycles verdict.Backend.cycles
+  | _ -> Alcotest.fail "expected a verdict");
+  match assess ~cutoff:c () with
+  | Backend.Assessed verdict ->
+      Alcotest.(check (float 0.0)) "the verdict answers a cutoff" cycles verdict.Backend.cycles
+  | _ -> Alcotest.fail "expected the stored verdict"
+
+(* Four domains race over repeated calls: every call is a hit or a
+   miss, every miss asks the simulator once, and every answer agrees
+   with the bare simulator. *)
+let test_memo_bounds_under_pool () =
+  let inner, inner_calls = counting_simulator () in
+  let memo = Backend.memoize inner in
+  let b = Backend.memoized memo in
+  let calls =
+    List.concat
+      (List.init 6 (fun r ->
+           List.init (Array.length bound_variants) (fun vi ->
+               bound_call (vi, Some (r mod 3), if r = 5 then Some 0 else None))))
+  in
+  let answers = Sw_util.Pool.map (pool 4) (run_bound_call b) calls in
+  List.iter2
+    (fun c r ->
+      Alcotest.(check bool) "agrees with the simulator" true
+        (bound_agrees c r (run_bound_call Backend.simulator c)))
+    calls answers;
+  Alcotest.(check int) "every call counted once" (List.length calls)
+    (Backend.memo_hits memo + Backend.memo_misses memo);
+  Alcotest.(check int) "one inner call per miss" (Backend.memo_misses memo)
+    (Atomic.get inner_calls);
+  Alcotest.(check bool) "some hits" true (Backend.memo_hits memo > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Hybrid *)
 
@@ -459,6 +640,9 @@ let tests =
       Alcotest.test_case "memo hashes distinct variants apart" `Quick test_memo_hash_distinct;
       Alcotest.test_case "memo caches infeasibility" `Quick test_memo_caches_infeasibility;
       Alcotest.test_case "memo composes with pool" `Quick test_memo_composes_with_pool;
+      QCheck_alcotest.to_alcotest prop_memo_bounds_agree_with_simulator;
+      Alcotest.test_case "memo keeps cut-off bounds" `Quick test_memo_keeps_bounds;
+      Alcotest.test_case "memo bounds exact under pool(4)" `Quick test_memo_bounds_under_pool;
       Alcotest.test_case "hybrid = static without gloads" `Quick test_hybrid_no_gloads_equals_static;
       Alcotest.test_case "hybrid profiles once" `Quick test_hybrid_profiles_once_per_kernel;
       Alcotest.test_case "hybrid pool-deterministic" `Quick test_hybrid_pool_deterministic;

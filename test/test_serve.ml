@@ -287,11 +287,11 @@ let test_shared_memo_across_requests () =
    its search (instrumented through [obs]) and its ranking pass (one
    lookup per point) — on the first run too, where a "sim" tune's
    validations hit the verdicts its own search just stored.  Running
-   the same tunes again on the same state misses nothing but the
-   verifications an adaptive cutoff abandoned (the memo never stores a
-   [Cut_off]), and every answer is bit-identical to a fresh state's.
-   The sharded tune validates in the coordinator, so its two lookups
-   are its only ones. *)
+   the same tunes again on the same state misses nothing at all: a
+   verification an adaptive cutoff abandoned is answered by the bound
+   the memo stored for it (counted as a cut-off hit), and every answer
+   is bit-identical to a fresh state's.  The sharded tune validates in
+   the coordinator, so its two lookups are its only ones. *)
 let test_repeated_tunes_hit_the_memo () =
   Unix.putenv "SWPM_WORKER_EXE" Sys.executable_name;
   let base kernel =
@@ -351,15 +351,163 @@ let test_repeated_tunes_hit_the_memo () =
   | [] -> ());
   List.iter2
     (fun (label, t) (first_answer, _, _, _) ->
+      let cutoff_hits0 = counter "memo.cutoff_hits" in
       let again, misses, _, cut_offs = run label t in
       if label = "sim-verified adaptive" then
         Alcotest.(check bool) (label ^ ": some verification was cut off") true (cut_offs > 0.0);
-      Alcotest.(check (float 0.0)) (label ^ ": repeat misses only cut-off verifications") cut_offs
-        misses;
+      Alcotest.(check (float 0.0)) (label ^ ": repeat misses nothing") 0.0 misses;
+      Alcotest.(check (float 0.0)) (label ^ ": every cut-off is a cut-off hit") cut_offs
+        (counter "memo.cutoff_hits" -. cutoff_hits0);
       let fresh = answer (tune (Handler.create ()) t) in
       Alcotest.(check bool) (label ^ ": first run = fresh state") true (first_answer = fresh);
       Alcotest.(check bool) (label ^ ": repeat = fresh state") true (again = fresh))
     reqs first
+
+(* A state builds each registry (kernel, scale) once.  Requests that
+   reach a kernel already built for an earlier request, with the
+   lowering caches warm on it, answer exactly what a fresh state
+   answers with a freshly built kernel. *)
+let test_interned_kernels_match_fresh () =
+  let state = Handler.create () in
+  let answer state verb =
+    Json.to_string
+      (Handler.response_to_json
+         (let r = Handler.run state { Handler.id = Json.Null; verb; deadline_ms = None } in
+          { r with Handler.result = Result.map Handler.strip_volatile r.Handler.result }))
+  in
+  List.iter
+    (fun (e : Sw_workloads.Registry.entry) ->
+      let kernel = e.Sw_workloads.Registry.name in
+      let unroll = e.Sw_workloads.Registry.variant.Sw_swacc.Kernel.unroll in
+      let predict backend =
+        Handler.Predict
+          {
+            (Handler.predict_defaults ~kernel) with
+            Handler.p_scale = 0.25;
+            p_backend = backend;
+            p_seed = Some 9;
+          }
+      in
+      (* warm the state on a neighbouring variant of the same kernel *)
+      ignore
+        (answer state
+           (Handler.Predict
+              {
+                (Handler.predict_defaults ~kernel) with
+                Handler.p_scale = 0.25;
+                p_unroll = Some (unroll + 1);
+              }));
+      List.iter
+        (fun verb ->
+          Alcotest.(check string) kernel (answer (Handler.create ()) verb) (answer state verb))
+        [
+          predict "model";
+          predict "sim";
+          Handler.Timeline
+            { (Handler.timeline_defaults ~kernel) with Handler.l_scale = 0.25; l_seed = Some 9 };
+        ])
+    Sw_workloads.Registry.all
+
+let timeline_req ?(seed = 3) ?faults ?(fault_level = "mild") ?cpes ?(db = false) kernel =
+  {
+    (Handler.timeline_defaults ~kernel) with
+    Handler.l_scale = 0.1;
+    l_seed = Some seed;
+    l_faults = faults;
+    l_fault_level = fault_level;
+    l_cpes = cpes;
+    l_db = db;
+  }
+
+let timeline_payload state ?obs l =
+  match Handler.timeline state ?obs l with
+  | Ok payload -> Json.to_string payload
+  | Error msg -> Alcotest.failf "timeline failed: %s" msg
+
+(* A repeated timeline is served from the state's table, byte-equal to
+   a fresh state's; any field that changes the simulation misses. *)
+let test_timeline_table () =
+  let state = Handler.create () in
+  let counter name = Sink.counter (Handler.sink state) name in
+  let base = timeline_req ~faults:2 "lud" in
+  let first = timeline_payload state base in
+  Alcotest.(check (float 0.0)) "first is a miss" 1.0 (counter "timeline.misses");
+  let again = timeline_payload state base in
+  Alcotest.(check (float 0.0)) "repeat is a hit" 1.0 (counter "timeline.hits");
+  Alcotest.(check string) "repeat = first" first again;
+  Alcotest.(check string) "repeat = fresh state" (timeline_payload (Handler.create ()) base) again;
+  List.iteri
+    (fun i (what, l) ->
+      ignore (timeline_payload state l);
+      Alcotest.(check (float 0.0)) (what ^ " misses") (float_of_int (i + 2))
+        (counter "timeline.misses"))
+    [
+      ("seed", timeline_req ~seed:4 ~faults:2 "lud");
+      ("faults", timeline_req ~faults:5 "lud");
+      ("fault_level", timeline_req ~faults:2 ~fault_level:"harsh" "lud");
+      ("cpes", timeline_req ~faults:2 ~cpes:32 "lud");
+      ("double_buffer", timeline_req ~faults:2 ~db:true "lud");
+    ];
+  (* a miss lowers the state's one kernel value through the lowering
+     cache, so only the simulation is paid again *)
+  let lower_hits () = fst (Sw_swacc.Lower.cache_stats ()) in
+  let hits0 = lower_hits () in
+  ignore (timeline_payload state (timeline_req ~seed:6 ~faults:2 "lud"));
+  Alcotest.(check int) "a new seed reuses the lowering" (hits0 + 1) (lower_hits ());
+  (* an unset seed is the global one *)
+  ignore
+    (timeline_payload state
+       { base with Handler.l_seed = None; l_faults = None });
+  ignore
+    (timeline_payload state
+       { base with Handler.l_seed = Some (Sw_util.Prng.global_seed ()); l_faults = None });
+  Alcotest.(check (float 0.0)) "resolved seed is the key" 2.0 (counter "timeline.hits")
+
+(* A traced timeline always simulates, so its spans are recorded, and
+   it leaves the table alone. *)
+let test_traced_timeline_records_spans () =
+  let state = Handler.create () in
+  let l = timeline_req "kmeans" in
+  let untraced = timeline_payload state l in
+  List.iter
+    (fun what ->
+      let obs = Sink.create () in
+      Alcotest.(check string) (what ^ ": same payload") untraced (timeline_payload state ~obs l);
+      Alcotest.(check bool) (what ^ ": spans recorded") true (Sink.span_count obs > 0))
+    [ "first traced"; "second traced" ];
+  let counter name = Sink.counter (Handler.sink state) name in
+  Alcotest.(check (float 0.0)) "no table hits" 0.0 (counter "timeline.hits");
+  Alcotest.(check (float 0.0)) "one table miss" 1.0 (counter "timeline.misses")
+
+(* The table forgets its oldest payload once it holds [timeline_slots]. *)
+let test_timeline_table_is_bounded () =
+  let state = Handler.create () in
+  let counter name = Sink.counter (Handler.sink state) name in
+  let nth i = timeline_req ~seed:(100 + i) "kmeans" in
+  for i = 0 to Handler.timeline_slots do
+    ignore (timeline_payload state (nth i))
+  done;
+  let misses = counter "timeline.misses" in
+  ignore (timeline_payload state (nth Handler.timeline_slots));
+  Alcotest.(check (float 0.0)) "the newest is kept" misses (counter "timeline.misses");
+  ignore (timeline_payload state (nth 0));
+  Alcotest.(check (float 0.0)) "the oldest was dropped" (misses +. 1.0)
+    (counter "timeline.misses")
+
+(* Deadline admission forecasts a cold timeline from cold timelines
+   only: answers served from the table do not move its estimate. *)
+let test_cached_timelines_keep_cold_estimate () =
+  let state = Handler.create () in
+  let request l = { Handler.id = Json.Null; verb = Handler.Timeline l; deadline_ms = None } in
+  let cached = request (timeline_req "kmeans") and cold = request (timeline_req ~seed:4 "kmeans") in
+  ignore (Handler.run state cached);
+  let before = Handler.estimate_s state cold in
+  for _ = 1 to 20 do
+    ignore (Handler.run state cached)
+  done;
+  Alcotest.(check (float 0.0)) "cold estimate unchanged" before (Handler.estimate_s state cold);
+  Alcotest.(check bool) "cached estimate is its own" true
+    (Handler.estimate_s state cached < before)
 
 let test_degraded_tune_uses_model () =
   let state = Handler.create () in
@@ -809,7 +957,14 @@ let test_server_deadline_admission () =
        nn = 0 || go 0
      in
      List.for_all contains
-       [ "serve_deadline_exceeded"; "serve_deadline_missed"; "shard_restarts" ])
+       [
+         "serve_deadline_exceeded";
+         "serve_deadline_missed";
+         "shard_restarts";
+         "memo_cutoff_hits";
+         "timeline_hits";
+         "timeline_misses";
+       ])
 
 (* A client that hangs up between sending a request and receiving its
    response costs the daemon one dropped connection, never the loop:
@@ -980,6 +1135,14 @@ let tests =
         test_shared_memo_across_requests;
       Alcotest.test_case "repeated tunes validate from the memo" `Quick
         test_repeated_tunes_hit_the_memo;
+      Alcotest.test_case "interned kernels = fresh kernels, every kernel" `Quick
+        test_interned_kernels_match_fresh;
+      Alcotest.test_case "timeline table hits and misses" `Quick test_timeline_table;
+      Alcotest.test_case "traced timeline records its spans" `Quick
+        test_traced_timeline_records_spans;
+      Alcotest.test_case "timeline table is bounded" `Quick test_timeline_table_is_bounded;
+      Alcotest.test_case "cached timelines keep the cold estimate" `Quick
+        test_cached_timelines_keep_cold_estimate;
       Alcotest.test_case "degraded tune sheds to the model" `Quick
         test_degraded_tune_uses_model;
       Alcotest.test_case "surrogate-ranked tune via the handler" `Quick
