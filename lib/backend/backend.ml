@@ -59,16 +59,13 @@ let assess (module B : S) config kernel variant =
       (* only budgeted assessments can be cut off *)
       invalid_arg (Printf.sprintf "Backend.assess: %s returned Cut_off without a budget" B.name)
 
-let assess_exn backend config kernel variant =
+let cycles_exn backend config kernel variant =
   match assess backend config kernel variant with
-  | Ok v -> v
+  | Ok v -> v.cycles
   | Error { backend = b; reason } ->
       invalid_arg
-        (Printf.sprintf "Backend.assess_exn: %s rejects %s: %s" b
+        (Printf.sprintf "Backend.cycles_exn: %s rejects %s: %s" b
            kernel.Kernel.name reason)
-
-let cycles_exn backend config kernel variant =
-  (assess_exn backend config kernel variant).cycles
 
 (* Measure host wall/CPU seconds around the actual assessment; the
    implementation reports its outcome plus the machine time (and
@@ -372,7 +369,9 @@ let memoize ?sink (inner : t) : memo =
       in
       (* A stored bound [at] answers only what a run would answer
          without looking at [at]'s exact value: under [cutoff = c] with
-         no event budget, cycles >= at > c means the run is cut off. *)
+         no event budget, cycles >= at > c means the run is cut off.
+         A stored verdict past the cutoff proves the same, and answers
+         the same: a fresh run would have been cut off too. *)
       let proves_cut at =
         match (cutoff, event_budget) with Some c, None -> at > c | _ -> false
       in
@@ -387,6 +386,8 @@ let memoize ?sink (inner : t) : memo =
           (fun () ->
             let rec acquire () =
               match Memo_table.find_opt table key with
+              | Some (Memo_done (Assessed v)) when proves_cut v.cycles ->
+                  `Hit (Cut_off { at = v.cycles; cost = zero_cost })
               | Some (Memo_done r) -> `Hit r
               | Some (Memo_bound at) when proves_cut at -> `Hit (Cut_off { at; cost = zero_cost })
               | Some Memo_running ->
@@ -402,9 +403,9 @@ let memoize ?sink (inner : t) : memo =
       | `Hit r ->
           Atomic.incr hits;
           observe "memo.hits";
-          (* the work was already paid for by the miss; a hit under a
-             budget returns the full cached verdict — free, and strictly
-             more informative than a Cut_off *)
+          (* the work was already paid for by the miss; a hit under an
+             event budget returns the full cached verdict — free, and
+             strictly more informative than a Cut_off *)
           (match r with
           | Assessed v -> Assessed { v with cost = zero_cost }
           | Infeasible _ -> r

@@ -110,13 +110,10 @@ val assess_budget :
 (** Budgeted assessment (see {!S.assess}); the doorway pruned searches
     use. *)
 
-val assess_exn :
-  t -> Sw_sim.Config.t -> Sw_swacc.Kernel.t -> Sw_swacc.Kernel.variant -> verdict
-(** @raise Invalid_argument on an infeasible variant. *)
-
 val cycles_exn :
   t -> Sw_sim.Config.t -> Sw_swacc.Kernel.t -> Sw_swacc.Kernel.variant -> float
-(** [(assess_exn …).cycles]. *)
+(** The cycles of the variant's verdict.
+    @raise Invalid_argument on an infeasible variant. *)
 
 (** {1 Implementing estimators}
 
@@ -219,17 +216,21 @@ val instrument : Sw_obs.Sink.t -> t -> t
     concurrency (a waiter the published result answers counts as a
     hit; it did not compute).
 
-    Budgets and the cache: a hit under a budget returns the cached full
-    verdict (free, and strictly more informative than re-deriving a
-    [Cut_off]).  A [Cut_off { at }] is stored as a lower bound: the
-    engine's clock is monotone, so the variant costs at least [at]
-    cycles.  A later lookup with [cutoff = Some c], no [event_budget]
-    and [at > c] is a hit answering [Cut_off { at; cost = zero_cost }]
-    — a run under [c] would be cut off too, though it might stop at a
-    different [at]; searches read only whether [at > c].  Every other
-    lookup of a bounded key recomputes.  A stored bound is never
-    weakened: a re-run that raises or cuts off earlier (under an event
-    budget) keeps the strongest bound proved so far. *)
+    Budgets and the cache: a hit under an [event_budget] returns the
+    cached full verdict (free, and strictly more informative than
+    re-deriving a [Cut_off]).  A hit with [cutoff = Some c], no
+    [event_budget] and cached cycles above [c] answers
+    [Cut_off { at = cycles; cost = zero_cost }] instead, as a fresh run
+    would, so a warm memo prunes exactly the points a cold one does.  A
+    [Cut_off { at }] is stored as a lower bound: the engine's clock is
+    monotone, so the variant costs at least [at] cycles.  A later lookup
+    with [cutoff = Some c], no [event_budget] and [at > c] is a hit
+    answering [Cut_off { at; cost = zero_cost }] — a run under [c] would
+    be cut off too, though it might stop at a different [at]; searches
+    read only whether [at > c].  Every other lookup of a bounded key
+    recomputes.  A stored bound is never weakened: a re-run that raises
+    or cuts off earlier (under an event budget) keeps the strongest
+    bound proved so far. *)
 
 type memo
 
@@ -237,7 +238,8 @@ val memoize : ?sink:Sw_obs.Sink.t -> t -> memo
 (** With [sink], every hit/miss also bumps the ["memo.hits"] /
     ["memo.misses"] counters there, mirroring {!memo_hits} /
     {!memo_misses} exactly (both are incremented on the same code
-    path).  A hit answered by a stored bound also bumps
+    path).  A hit answered with a [Cut_off] (from a stored bound, or
+    from a stored verdict past the cutoff) also bumps
     ["memo.cutoff_hits"], a subset of ["memo.hits"]. *)
 
 val memoized : memo -> t

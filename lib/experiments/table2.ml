@@ -37,13 +37,11 @@ let run ?(scale = 1.0) ?(params = Sw_arch.Params.default) ?pool ?strategy () =
       let kernel = e.build ~scale in
       let points = Sw_tuning.Space.enumerate ~grains:e.grains ~unrolls:e.unrolls () in
       let default = guideline_default params kernel ~grains:e.grains in
-      let tune ?strategy method_ =
-        Sw_tuning.Tuner.tune_exn
-          ~backend:(Sw_tuning.Tuner.backend_of_method method_)
-          ?strategy ~default ?pool config kernel ~points
+      let tune ?strategy backend =
+        Sw_tuning.Tuner.tune_exn ~backend ?strategy ~default ?pool config kernel ~points
       in
-      let static = tune Sw_tuning.Tuner.Static in
-      let empirical = tune ?strategy Sw_tuning.Tuner.Empirical in
+      let static = tune Sw_backend.Backend.static_model in
+      let empirical = tune ?strategy Sw_backend.Backend.simulator in
       let savings =
         if static.Sw_tuning.Tuner.tuning_host_s > 0.0 then
           empirical.Sw_tuning.Tuner.tuning_host_s /. static.Sw_tuning.Tuner.tuning_host_s

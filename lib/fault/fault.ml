@@ -65,15 +65,6 @@ let of_string = function
   | "harsh" -> Some harsh
   | _ -> None
 
-let pp_spec ppf s =
-  Format.fprintf ppf
-    "{jitter lat=%.0f%% bw=%.0f%%; dma p=%.3f retries=%d backoff=%d; \
-     stragglers=%d x%.2f; throttles=%d @%.2f}"
-    (100.0 *. s.latency_jitter)
-    (100.0 *. s.bandwidth_jitter)
-    s.dma_fail_prob s.dma_max_retries s.dma_backoff_cycles s.n_stragglers
-    s.straggler_slowdown s.n_throttles s.throttle_depth
-
 (* Relative jitter: uniform in [1-j, 1+j).  Draw even when j = 0 so the
    PRNG stream — and hence every downstream draw — is the same for every
    spec, making plans with different levels comparable per seed. *)

@@ -57,8 +57,6 @@ val default : spec
 val of_string : string -> spec option
 (** ["none"], ["mild"] (or ["default"]), ["harsh"]. *)
 
-val pp_spec : Format.formatter -> spec -> unit
-
 val plan : ?spec:spec -> seed:int -> Sw_sim.Config.t -> Sw_sim.Config.t
 (** [plan ~seed config] is a validated perturbation of [config]:
     jittered [l_base] and memory bandwidth, [spec]'s DMA-failure

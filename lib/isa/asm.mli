@@ -26,12 +26,10 @@
     }
     v} *)
 
-val render_block : ?annotate:Sw_arch.Params.t -> Instr.t array -> string
-(** One instruction per line; with [annotate], append the scheduler's
-    predicted issue cycles and a block summary (cycles/iteration, avg
-    ILP) exactly as the model consumes them. *)
-
 val render_program : ?annotate:Sw_arch.Params.t -> Program.t -> string
+(** One item per line; with [annotate], each compute block also carries
+    the scheduler's predicted issue cycles and a block summary
+    (cycles/iteration, avg ILP) exactly as the model consumes them. *)
 
 val parse_program : string -> (Program.t, string) result
 (** Inverse of {!render_program}; annotations are ignored.  Errors carry

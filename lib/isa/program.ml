@@ -5,9 +5,6 @@ type dma = { dir : dma_dir; accesses : Sw_arch.Mem_req.access list; tag : int }
 let dma_payload d =
   List.fold_left (fun acc a -> acc + Sw_arch.Mem_req.payload_bytes a) 0 d.accesses
 
-let dma_transactions ~trans_size d =
-  List.fold_left (fun acc a -> acc + Sw_arch.Mem_req.transactions ~trans_size a) 0 d.accesses
-
 type item =
   | Dma_issue of dma
   | Dma_wait of int

@@ -20,9 +20,6 @@ type dma = { dir : dma_dir; accesses : Sw_arch.Mem_req.access list; tag : int }
 val dma_payload : dma -> int
 (** Useful bytes of the request (sum over its accesses). *)
 
-val dma_transactions : trans_size:int -> dma -> int
-(** Physical DRAM transactions of the request. *)
-
 type item =
   | Dma_issue of dma  (** Asynchronous DMA call. *)
   | Dma_wait of int  (** Block until every DMA with this tag completed. *)

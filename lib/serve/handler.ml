@@ -681,48 +681,12 @@ let shard_journals t ~workers =
 let machine state =
   match backend state "sim" with Ok (_, m) -> m | Error _ -> Backend.simulator
 
-let sharded_tune state t config kernel points =
-  let t = resolve_seed t in
-  let workers = t.t_workers in
-  let* canonical, _, strategy = resolve_search state t ~n_points:(List.length points) in
-  let journals = shard_journals t ~workers in
-  let cleanup () =
-    (* ephemeral journals only: a --checkpoint'ed tune keeps its shard
-       journals so an interrupted run can resume from them *)
-    if t.t_checkpoint = None then
-      Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) journals
-  in
-  let result =
-    Sw_tuning.Tuner.tune_sharded ~backend_name:canonical
-      ~strategy_name:(Sw_tuning.Search.name strategy) ~workers
-      ~argv:(fun ~shard ~journal -> worker_argv t ~shard ~shards:workers ~journal)
-      ~journal_of:(fun shard -> journals.(shard))
-      ~machine:(machine state) ~max_restarts:t.t_max_restarts
-      ?hang_timeout_s:t.t_hang_timeout_s config kernel ~points
-  in
-  cleanup ();
-  match result with
-  | Ok outcome ->
-      let restarts = outcome.Sw_tuning.Tuner.restarts in
-      let quarantined = outcome.Sw_tuning.Tuner.quarantined in
-      Sw_obs.Sink.add state.sink "shard.restarts" (float_of_int restarts);
-      Sw_obs.Sink.add state.sink "shard.quarantined"
-        (float_of_int (List.length quarantined));
-      Sw_obs.Sink.add state.sink "link.lines_dropped"
-        (float_of_int outcome.Sw_tuning.Tuner.link_lines_dropped);
-      (* a quarantined shard means this is a partial argmin: surface it
-         the same way overload shedding does, as a degraded response *)
-      Ok { tr_backend = canonical; tr_outcome = outcome; tr_degraded = quarantined <> [] }
-  | Error (`No_feasible_point msg) | Error (`Worker_failure msg) -> Error msg
-
 let tune state ?(degrade = false) ?pool ?obs t =
   let* entry = entry_of t.t_kernel in
   let* config = tune_config t in
   let kernel = kernel state entry ~scale:t.t_scale in
   let* points = tune_points t entry in
   let n_points = List.length points in
-  if (not degrade) && t.t_workers > 1 then sharded_tune state t config kernel points
-  else
   let* canonical, shared, strategy =
     if degrade then
       (* Overload shedding: whatever was asked for, answer with the
@@ -732,12 +696,44 @@ let tune state ?(degrade = false) ?pool ?obs t =
       Ok (canonical, shared, Sw_tuning.Search.shortlist ~k:(Stdlib.max 1 (n_points / 4)) ())
     else resolve_search state t ~n_points
   in
-  match
-    Sw_tuning.Tuner.tune ~backend:shared ~machine:(machine state) ~strategy ?pool ?obs
-      ?checkpoint:t.t_checkpoint config kernel ~points
-  with
-  | Ok outcome -> Ok { tr_backend = canonical; tr_outcome = outcome; tr_degraded = degrade }
-  | Error (`No_feasible_point msg) -> Error msg
+  let* outcome =
+    if degrade || t.t_workers <= 1 then
+      Sw_tuning.Tuner.tune ~backend:shared ~machine:(machine state) ~strategy ?pool ?obs
+        ?checkpoint:t.t_checkpoint config kernel ~points
+      |> Result.map_error (fun (`No_feasible_point msg) -> msg)
+    else
+      let t = resolve_seed t in
+      let workers = t.t_workers in
+      let journals = shard_journals t ~workers in
+      let result =
+        Sw_tuning.Tuner.tune_sharded ~backend_name:canonical
+          ~strategy_name:(Sw_tuning.Search.name strategy) ~workers
+          ~argv:(fun ~shard ~journal -> worker_argv t ~shard ~shards:workers ~journal)
+          ~journal_of:(fun shard -> journals.(shard))
+          ~machine:(machine state) ~max_restarts:t.t_max_restarts
+          ?hang_timeout_s:t.t_hang_timeout_s config kernel ~points
+      in
+      (* ephemeral journals only: a --checkpoint'ed tune keeps its shard
+         journals so an interrupted run can resume from them *)
+      if t.t_checkpoint = None then
+        Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) journals;
+      Result.iter
+        (fun (o : Sw_tuning.Tuner.outcome) ->
+          Sw_obs.Sink.add state.sink "shard.restarts" (float_of_int o.restarts);
+          Sw_obs.Sink.add state.sink "shard.quarantined"
+            (float_of_int (List.length o.quarantined));
+          Sw_obs.Sink.add state.sink "link.lines_dropped" (float_of_int o.link_lines_dropped))
+        result;
+      Result.map_error (fun (`No_feasible_point msg | `Worker_failure msg) -> msg) result
+  in
+  (* a quarantined shard means this is a partial argmin: surface it the
+     same way overload shedding does, as a degraded response *)
+  Ok
+    {
+      tr_backend = canonical;
+      tr_outcome = outcome;
+      tr_degraded = degrade || outcome.Sw_tuning.Tuner.quarantined <> [];
+    }
 
 (* --- shard worker entrypoint -------------------------------------- *)
 
@@ -778,22 +774,6 @@ let chaos_backend ~actions ~jnl inner =
         r
     end in
     (module Chaotic : Backend.S)
-
-(* Count the verifier's compile-time rejections: whatever else the
-   search reports as rejected was rejected by the ranking pass, which
-   is never journaled, so the coordinator needs that count from us. *)
-let counting_infeasible counter inner =
-  let module Inner = (val inner : Backend.S) in
-  let module Counted = struct
-    let name = Inner.name
-    let description = Inner.description
-
-    let assess ?cutoff ?event_budget config kernel variant =
-      let r = Inner.assess ?cutoff ?event_budget config kernel variant in
-      (match r with Backend.Infeasible _ -> incr counter | _ -> ());
-      r
-  end in
-  (module Counted : Backend.S)
 
 (* The body of [swmodel shard-worker]: parse the spec the coordinator
    passed on the command line, rebuild the identical space, keep only
@@ -853,41 +833,10 @@ let worker_main spec =
         actions
     in
     let link, finish = Sw_tuning.Shard.worker_link ?drop_every ?dup_every () in
-    let cpu0 = Sys.time () in
-    let verify_rejected = ref 0 in
-    let results, sstats =
-      Sw_tuning.Search.run strategy
-        ~backend:
-          (counting_infeasible verify_rejected
-             (chaos_backend ~actions ~jnl (Backend.journaled jnl)))
-        ~active_cpes:64 ~link config kernel ~points:mine
-    in
-    let rank_rejected =
-      List.length
-        (List.filter (function _, Sw_tuning.Search.Rejected _ -> true | _ -> false) results)
-      - !verify_rejected
-    in
-    let machine_us =
-      List.fold_left
-        (fun acc (_, r) ->
-          match r with
-          | Sw_tuning.Search.Priced v -> acc +. v.Backend.cost.Backend.machine_us
-          | Sw_tuning.Search.Pruned c -> acc +. c.Backend.machine_us
-          | Sw_tuning.Search.Rejected _ -> acc)
-        sstats.Sw_tuning.Search.rank_machine_us results
-    in
     let stats =
-      Json.Obj
-        [
-          ("shard", Json.Int shard);
-          ("cpu_s", Json.Float (Sys.time () -. cpu0));
-          ("machine_us", Json.Float machine_us);
-          ("rank_host_s", Json.Float sstats.Sw_tuning.Search.rank_host_s);
-          ("rank_machine_us", Json.Float sstats.Sw_tuning.Search.rank_machine_us);
-          ("rank_rejected", Json.Float (float_of_int (Stdlib.max 0 rank_rejected)));
-          ("journal_hits", Json.Float (float_of_int (Backend.journal_hits jnl)));
-          ("journal_misses", Json.Float (float_of_int (Backend.journal_misses jnl)));
-        ]
+      Sw_tuning.Tuner.search_shard ~shard strategy
+        ~backend:(chaos_backend ~actions ~jnl (Backend.journaled jnl))
+        ~journal:jnl ~link config kernel ~points:mine
     in
     Backend.journal_close jnl;
     finish stats;

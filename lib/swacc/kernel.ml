@@ -33,9 +33,6 @@ type t = {
 
 type variant = { grain : int; unroll : int; active_cpes : int; double_buffer : bool }
 
-let default_variant ?(grain = 64) ?(unroll = 1) ?(active_cpes = 64) ?(double_buffer = false) _t =
-  { grain; unroll; active_cpes; double_buffer }
-
 let make ~name ~n_elements ~copies ~body ?(body_trips_per_element = 1) ?gloads
     ?(ialu_per_access = 1) ?spill_gloads ?(vector_width = 1) () =
   if not (List.mem vector_width [ 1; 2; 4 ]) then

@@ -69,10 +69,6 @@ type variant = {
   double_buffer : bool;
 }
 
-val default_variant : ?grain:int -> ?unroll:int -> ?active_cpes:int -> ?double_buffer:bool -> t -> variant
-(** Sensible defaults: grain covering the whole per-CPE share capped to
-    SPM-friendly sizes is the caller's business; this just fills fields
-    (grain default 64, unroll 1, 64 CPEs, no double buffer). *)
 
 val make :
   name:string ->

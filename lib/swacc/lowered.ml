@@ -31,9 +31,6 @@ let avg_mrt s =
     weighted /. reqs
   end
 
-let total_payload_bytes t =
-  Array.fold_left (fun acc p -> acc + Sw_isa.Program.dma_payload_bytes p) 0 t.programs
-
 let pp_summary fmt s =
   Format.fprintf fmt "@[<v>active CPEs : %d@,DMA requests: %.1f (avg MRT %.2f)@," s.active_cpes
     (dma_requests_per_cpe s) (avg_mrt s);

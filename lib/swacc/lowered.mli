@@ -48,7 +48,4 @@ val dma_requests_per_cpe : summary -> float
 val avg_mrt : summary -> float
 (** Request-weighted average MRT (Equation 12); 1.0 when no DMA. *)
 
-val total_payload_bytes : t -> int
-(** DMA payload summed over all programs. *)
-
 val pp_summary : Format.formatter -> summary -> unit

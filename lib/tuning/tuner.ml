@@ -1,10 +1,18 @@
 module Backend = Sw_backend.Backend
 
-type method_ = Static | Empirical
-
-let backend_of_method = function
-  | Static -> Backend.static_model
-  | Empirical -> Backend.simulator
+type tally = {
+  tuning_host_s : float;
+  tuning_cpu_s : float;
+  machine_time_us : float;
+  evaluated : int;
+  infeasible : int;
+  points_pruned : int;
+  rank_rejected : int;
+  rank_host_s : float;
+  rank_machine_us : float;
+  journal_hits : int;
+  journal_misses : int;
+}
 
 type outcome = {
   backend : string;
@@ -28,19 +36,104 @@ type outcome = {
   link_lines_dropped : int;
 }
 
-(* The tail both tune paths share: the strict-[<] argmin over the
-   priced [(point, cycles)] in enumeration order (the earliest index wins
-   ties), then one validation run each for the pick and the default —
-   [default], or else the first priced point with unroll 1 and no double
-   buffering.  Quality is always judged by [machine], whichever backend
-   searched; the validation runs are not billed as tuning cost.  A
-   memoizing [machine] answers a repeated validation from its table:
-   the simulator's unbudgeted run and the budgeted run a pruned search
-   completed are the same engine run, and the memo answers an
-   unbudgeted lookup only from a stored verdict, never from a cut-off
-   bound, so a hit is bit-identical to re-running.  [None] when
-   nothing was priced. *)
-let pick_and_validate ~machine ~active_cpes ?default config kernel = function
+(* The one place a search becomes counts and a machine bill, in-process
+   and in every shard worker: run [strategy] (the host clocks bracket
+   the search alone), then fold the completed verdicts and the sunk
+   prefixes of pruned runs onto what the ranking pass simulated, in
+   enumeration order. *)
+let search strategy ~backend ~active_cpes ?pool ?obs ?link ?journal config kernel ~points =
+  let wall0 = Unix.gettimeofday () in
+  let cpu0 = Sys.time () in
+  let results, (s : Search.stats) =
+    Search.run strategy ~backend ~active_cpes ?pool ?obs ?link config kernel ~points
+  in
+  let tuning_host_s = Unix.gettimeofday () -. wall0 in
+  let tuning_cpu_s = Sys.time () -. cpu0 in
+  let evaluated, infeasible, machine_time_us =
+    List.fold_left
+      (fun (e, i, m) (_, r) ->
+        match r with
+        | Search.Priced v -> (e + 1, i, m +. v.Backend.cost.Backend.machine_us)
+        | Search.Pruned c -> (e, i, m +. c.Backend.machine_us)
+        | Search.Rejected _ -> (e, i + 1, m))
+      (0, 0, s.rank_machine_us) results
+  in
+  let journal_hits, journal_misses =
+    match journal with
+    | Some j -> (Backend.journal_hits j, Backend.journal_misses j)
+    | None -> (0, 0)
+  in
+  ( results,
+    s.strategy,
+    {
+      tuning_host_s;
+      tuning_cpu_s;
+      machine_time_us;
+      evaluated;
+      infeasible;
+      points_pruned = s.pruned;
+      rank_rejected = s.rank_rejected;
+      rank_host_s = s.rank_host_s;
+      rank_machine_us = s.rank_machine_us;
+      journal_hits;
+      journal_misses;
+    } )
+
+(* --- the worker-stats codec: a shard worker's [Done] line ---------- *)
+
+(* The keys a worker's [Done] stats carry.  Counts are not among them:
+   the coordinator recomputes those from the merged journals, so a
+   relaunched worker's replays are not counted twice. *)
+let stats_to_json ~shard (t : tally) =
+  let open Sw_obs.Json in
+  Obj
+    [
+      ("shard", Int shard);
+      ("cpu_s", Float t.tuning_cpu_s);
+      ("machine_us", Float t.machine_time_us);
+      ("rank_host_s", Float t.rank_host_s);
+      ("rank_machine_us", Float t.rank_machine_us);
+      ("rank_rejected", Int t.rank_rejected);
+      ("journal_hits", Int t.journal_hits);
+      ("journal_misses", Int t.journal_misses);
+    ]
+
+let stats_of_json j =
+  let get conv default key = Option.value (Option.bind (Sw_obs.Json.member key j) conv) ~default in
+  let float = get Sw_obs.Json.to_float 0.0 and int = get Sw_obs.Json.to_int 0 in
+  {
+    tuning_host_s = 0.0;
+    tuning_cpu_s = float "cpu_s";
+    machine_time_us = float "machine_us";
+    evaluated = 0;
+    infeasible = 0;
+    points_pruned = 0;
+    rank_rejected = int "rank_rejected";
+    rank_host_s = float "rank_host_s";
+    rank_machine_us = float "rank_machine_us";
+    journal_hits = int "journal_hits";
+    journal_misses = int "journal_misses";
+  }
+
+let search_shard ~shard strategy ~backend ~journal ~link config kernel ~points =
+  let _, _, t = search strategy ~backend ~active_cpes:64 ~link ~journal config kernel ~points in
+  stats_to_json ~shard t
+
+(* The tail both tune paths share, and their one outcome constructor:
+   the strict-[<] argmin over the priced [(point, cycles)] in
+   enumeration order (the earliest index wins ties), then one
+   validation run each for the pick and the default — [default], or
+   else the first priced point with unroll 1 and no double buffering.
+   Quality is always judged by [machine], whichever backend searched;
+   the validation runs are not billed as tuning cost.  A memoizing
+   [machine] answers a repeated validation from its table: the
+   simulator's unbudgeted run and the budgeted run a pruned search
+   completed are the same engine run, and an unbudgeted lookup with no
+   cutoff is answered only from a stored verdict, so a hit is
+   bit-identical to re-running.  The sharded-only fields default to an
+   undisturbed in-process run.  [None] when nothing was priced. *)
+let pick_and_validate ~machine ~active_cpes ?default ~backend ~strategy ?(restarts = 0)
+    ?(quarantined = []) ?(link_lines_dropped = 0) (t : tally) config kernel = function
   | [] -> None
   | (p0, c0) :: rest ->
       let best_point, _ =
@@ -54,7 +147,29 @@ let pick_and_validate ~machine ~active_cpes ?default config kernel = function
         | Some v -> v
         | None -> Space.to_variant { p0 with unroll = 1; double_buffer = false } ~active_cpes
       in
-      Some (best, best_cycles, run_variant default)
+      let default_cycles = run_variant default in
+      Some
+        {
+          backend;
+          strategy;
+          best;
+          best_cycles;
+          default_cycles;
+          speedup = default_cycles /. best_cycles;
+          tuning_host_s = t.tuning_host_s;
+          tuning_cpu_s = t.tuning_cpu_s;
+          machine_time_us = t.machine_time_us;
+          evaluated = t.evaluated;
+          infeasible = t.infeasible;
+          points_pruned = t.points_pruned;
+          rank_host_s = t.rank_host_s;
+          rank_machine_us = t.rank_machine_us;
+          journal_hits = t.journal_hits;
+          journal_misses = t.journal_misses;
+          restarts;
+          quarantined;
+          link_lines_dropped;
+        }
 
 let tune ~backend ?(machine = Backend.simulator) ?(strategy = Search.exhaustive)
     ?(active_cpes = 64) ?default ?pool ?obs ?checkpoint (config : Sw_sim.Config.t) kernel
@@ -69,48 +184,25 @@ let tune ~backend ?(machine = Backend.simulator) ?(strategy = Search.exhaustive)
      stack (instrumentation included): a resumed sweep re-assesses
      nothing it already resolved, and the replayed cycles are
      bit-identical, so the argmin below cannot tell the difference. *)
-  let jnl = Option.map (fun path -> Backend.journal ?sink:obs ~path config backend) checkpoint in
-  let backend = match jnl with Some j -> Backend.journaled j | None -> backend in
+  let journal = Option.map (fun path -> Backend.journal ?sink:obs ~path config backend) checkpoint in
+  let backend = match journal with Some j -> Backend.journaled j | None -> backend in
   let span_t0 = Option.map (fun sink -> Sw_obs.Sink.now_us sink) obs in
-  let wall0 = Unix.gettimeofday () in
-  let cpu0 = Sys.time () in
   (* Assessing one point is pure up to the backend's internal
      mutex-guarded caches.  That makes the fan-out over a domain pool
      safe, and every strategy returns results in enumeration order, so
      the argmin below (strict [<], earliest index wins ties) is
      bit-identical to the sequential run. *)
-  let results, sstats =
-    Search.run strategy ~backend ~active_cpes ?pool ?obs config kernel ~points
-  in
-  let tuning_host_s = Unix.gettimeofday () -. wall0 in
-  let tuning_cpu_s = Sys.time () -. cpu0 in
-  let scored =
-    List.filter_map (function p, Search.Priced v -> Some (p, v.Backend.cycles) | _ -> None) results
-  in
-  let evaluated = List.length scored in
-  let infeasible =
-    List.length (List.filter (function _, Search.Rejected _ -> true | _ -> false) results)
-  in
-  let points_pruned = sstats.Search.pruned in
-  (* The search's full machine bill: completed verdicts, the sunk
-     prefixes of pruned runs, and whatever the ranking pass simulated. *)
-  let machine_time_us =
-    List.fold_left
-      (fun acc (_, r) ->
-        match r with
-        | Search.Priced v -> acc +. v.Backend.cost.Backend.machine_us
-        | Search.Pruned c -> acc +. c.Backend.machine_us
-        | Search.Rejected _ -> acc)
-      sstats.Search.rank_machine_us results
+  let results, strategy, t =
+    search strategy ~backend ~active_cpes ?pool ?obs ?journal config kernel ~points
   in
   (match (obs, span_t0) with
   | Some sink, Some t0 ->
       Sw_obs.Sink.incr sink "tuner.searches";
       Sw_obs.Sink.incr sink ~by:(List.length points) "tuner.points";
-      Sw_obs.Sink.incr sink ~by:evaluated "tuner.evaluated";
-      Sw_obs.Sink.incr sink ~by:infeasible "tuner.infeasible";
-      Sw_obs.Sink.incr sink ~by:points_pruned "tuner.pruned";
-      Sw_obs.Sink.add sink "tuner.machine_us" machine_time_us;
+      Sw_obs.Sink.incr sink ~by:t.evaluated "tuner.evaluated";
+      Sw_obs.Sink.incr sink ~by:t.infeasible "tuner.infeasible";
+      Sw_obs.Sink.incr sink ~by:t.points_pruned "tuner.pruned";
+      Sw_obs.Sink.add sink "tuner.machine_us" t.machine_time_us;
       Sw_obs.Sink.record sink
         {
           Sw_obs.Sink.cat = "tuner";
@@ -122,19 +214,24 @@ let tune ~backend ?(machine = Backend.simulator) ?(strategy = Search.exhaustive)
           args =
             [
               ("backend", Sw_obs.Sink.String (Backend.name backend));
-              ("strategy", Sw_obs.Sink.String sstats.Search.strategy);
+              ("strategy", Sw_obs.Sink.String strategy);
               ("points", Sw_obs.Sink.Int (List.length points));
-              ("evaluated", Sw_obs.Sink.Int evaluated);
-              ("infeasible", Sw_obs.Sink.Int infeasible);
-              ("pruned", Sw_obs.Sink.Int points_pruned);
-              ("machine_us", Sw_obs.Sink.Float machine_time_us);
+              ("evaluated", Sw_obs.Sink.Int t.evaluated);
+              ("infeasible", Sw_obs.Sink.Int t.infeasible);
+              ("pruned", Sw_obs.Sink.Int t.points_pruned);
+              ("machine_us", Sw_obs.Sink.Float t.machine_time_us);
             ];
         }
   | _ -> ());
-  let journal_hits = match jnl with Some j -> Backend.journal_hits j | None -> 0 in
-  let journal_misses = match jnl with Some j -> Backend.journal_misses j | None -> 0 in
-  Option.iter Backend.journal_close jnl;
-  match pick_and_validate ~machine ~active_cpes ?default config kernel scored with
+  Option.iter Backend.journal_close journal;
+  let scored =
+    List.filter_map (function p, Search.Priced v -> Some (p, v.Backend.cycles) | _ -> None) results
+  in
+  match
+    pick_and_validate ~machine ~active_cpes ?default ~backend:(Backend.name backend)
+      ~strategy t config kernel scored
+  with
+  | Some o -> Ok o
   | None ->
       let detail =
         match
@@ -147,30 +244,6 @@ let tune ~backend ?(machine = Backend.simulator) ?(strategy = Search.exhaustive)
         (`No_feasible_point
           (Printf.sprintf "%s tuner: no feasible point among %d in the search space%s"
              (Backend.name backend) (List.length points) detail))
-  | Some (best, best_cycles, default_cycles) ->
-      Ok
-        {
-          backend = Backend.name backend;
-          strategy = sstats.Search.strategy;
-          best;
-          best_cycles;
-          default_cycles;
-          speedup = default_cycles /. best_cycles;
-          tuning_host_s;
-          tuning_cpu_s;
-          machine_time_us;
-          evaluated;
-          infeasible;
-          points_pruned;
-          rank_host_s = sstats.Search.rank_host_s;
-          rank_machine_us = sstats.Search.rank_machine_us;
-          journal_hits;
-          journal_misses;
-          (* single-process: no workers to restart, no link to lose *)
-          restarts = 0;
-          quarantined = [];
-          link_lines_dropped = 0;
-        }
 
 (* ------------------------------------------------------------------ *)
 (* Sharded tuning: fan the same search out across worker processes.
@@ -179,17 +252,6 @@ let tune ~backend ?(machine = Backend.simulator) ?(strategy = Search.exhaustive)
    whole result set.  The argmin below walks [points] in global
    enumeration order with the same strict [<] fold as [tune], so the
    sharded pick ties-break identically to the single-process oracle. *)
-
-let fold_stat op dones key =
-  List.fold_left
-    (fun acc stats ->
-      match Option.bind (Sw_obs.Json.member key stats) Sw_obs.Json.to_float with
-      | Some v -> op acc v
-      | None -> acc)
-    0.0 dones
-
-let sum_stat = fold_stat ( +. )
-let max_stat = fold_stat Float.max
 
 let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
     ?(machine = Backend.simulator) ?(active_cpes = 64) ?default ?(max_restarts = 2)
@@ -202,7 +264,6 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
         Shard.launch ~shard ~argv:(argv ~shard ~journal:(journal_of shard)) ())
   in
   let report = Shard.supervise ~max_restarts ?hang_timeout_s procs in
-  let dones = List.filter (fun s -> s <> Sw_obs.Json.Null) report.Shard.stats in
   let supervision_quarantined =
     match report.Shard.health with Shard.Completed -> [] | Shard.Degraded q -> q
   in
@@ -229,7 +290,6 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
   match !mismatch with
   | Some msg -> Error (`Worker_failure msg)
   | None -> (
-      let tuning_host_s = Unix.gettimeofday () -. wall0 in
       let infeasible = ref 0 and pruned = ref 0 in
       let priced =
         List.filter_map
@@ -245,41 +305,53 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
                 None)
           points
       in
-      match pick_and_validate ~machine ~active_cpes ?default config kernel priced with
+      (* The workers' bills: summed, except the ranking wall clock —
+         workers rank concurrently, so that bill is the slowest.  A
+         shard without a [Done] line ([Null]) adds zeros. *)
+      let w =
+        List.fold_left
+          (fun (a : tally) stats ->
+            let b = stats_of_json stats in
+            {
+              a with
+              tuning_cpu_s = a.tuning_cpu_s +. b.tuning_cpu_s;
+              machine_time_us = a.machine_time_us +. b.machine_time_us;
+              rank_rejected = a.rank_rejected + b.rank_rejected;
+              rank_host_s = Float.max a.rank_host_s b.rank_host_s;
+              rank_machine_us = a.rank_machine_us +. b.rank_machine_us;
+              journal_hits = a.journal_hits + b.journal_hits;
+              journal_misses = a.journal_misses + b.journal_misses;
+            })
+          (stats_of_json Sw_obs.Json.Null) report.Shard.stats
+      in
+      let t =
+        {
+          w with
+          tuning_host_s = Unix.gettimeofday () -. wall0;
+          (* the coordinator's own cpu plus what the workers report:
+             the real compute bill, not the coordinator's idle wait *)
+          tuning_cpu_s = Sys.time () -. cpu0 +. w.tuning_cpu_s;
+          (* the counts come from the merged journals, so a resumed run
+             reports the totals of an uninterrupted one; points the
+             workers' ranking pass rejected never reach a journal:
+             infeasible, not pruned *)
+          evaluated = List.length priced;
+          infeasible = !infeasible + w.rank_rejected;
+          points_pruned = !pruned - w.rank_rejected;
+        }
+      in
+      match
+        pick_and_validate ~machine ~active_cpes ?default
+          ~backend:(Printf.sprintf "sharded(%s,workers=%d)" backend_name workers)
+          ~strategy:strategy_name ~restarts:report.Shard.restarts ~quarantined
+          ~link_lines_dropped:report.Shard.lines_dropped t config kernel priced
+      with
+      | Some o -> Ok o
       | None ->
           Error
             (`No_feasible_point
               (Printf.sprintf "sharded %s tuner: no feasible point among %d in the search space"
-                 backend_name (List.length points)))
-      | Some (best, best_cycles, default_cycles) ->
-          let rank_rejected = int_of_float (sum_stat dones "rank_rejected") in
-          Ok
-            {
-              backend = Printf.sprintf "sharded(%s,workers=%d)" backend_name workers;
-              strategy = strategy_name;
-              best;
-              best_cycles;
-              default_cycles;
-              speedup = default_cycles /. best_cycles;
-              tuning_host_s;
-              (* the coordinator's own cpu plus what the workers report:
-                 the real compute bill, not the coordinator's idle wait *)
-              tuning_cpu_s = Sys.time () -. cpu0 +. sum_stat dones "cpu_s";
-              machine_time_us = sum_stat dones "machine_us";
-              evaluated = List.length priced;
-              (* points the workers' ranking pass rejected never reach a
-                 journal: infeasible, not pruned *)
-              infeasible = !infeasible + rank_rejected;
-              points_pruned = !pruned - rank_rejected;
-              (* workers rank concurrently: the wall bill is the slowest *)
-              rank_host_s = max_stat dones "rank_host_s";
-              rank_machine_us = sum_stat dones "rank_machine_us";
-              journal_hits = int_of_float (sum_stat dones "journal_hits");
-              journal_misses = int_of_float (sum_stat dones "journal_misses");
-              restarts = report.Shard.restarts;
-              quarantined;
-              link_lines_dropped = report.Shard.lines_dropped;
-            })
+                 backend_name (List.length points))))
 
 let tune_exn ~backend ?strategy ?active_cpes ?default ?pool ?obs ?checkpoint config kernel
     ~points =

@@ -22,11 +22,23 @@
     OCaml domains; results are guaranteed identical to the sequential
     search. *)
 
-type method_ = Static | Empirical
-(** The paper's original two tuners, named by their backend. *)
-
-val backend_of_method : method_ -> Sw_backend.Backend.t
-(** [Static] is the ["model"] backend, [Empirical] the ["sim"] one. *)
+type tally = {
+  tuning_host_s : float;
+  tuning_cpu_s : float;
+  machine_time_us : float;
+  evaluated : int;
+  infeasible : int;
+  points_pruned : int;
+  rank_rejected : int;  (** {!Search.stats}' [rank_rejected]. *)
+  rank_host_s : float;
+  rank_machine_us : float;
+  journal_hits : int;
+  journal_misses : int;
+}
+(** What one search decided and cost: the counts and bills of an
+    {!outcome} (each field means what the outcome's field of the same
+    name means), computed in one place for the in-process tune, every
+    shard worker and the sharded coordinator. *)
 
 type outcome = {
   backend : string;  (** Name of the backend that searched. *)
@@ -202,11 +214,40 @@ val tune_sharded :
     pass, and the counts ([evaluated]/[infeasible]/[points_pruned])
     are recomputed from the merged journals, so a resumed run reports
     the same totals as an uninterrupted one.  Points a worker's ranking
-    pass rejected are never journaled; each worker's [Done] stats carry
-    their count as ["rank_rejected"], and they count as [infeasible],
-    as in {!tune}.  [best_cycles] and
+    pass rejected are never journaled; each worker's [Done] stats
+    ({!stats_of_json}) carry their count from {!Search.stats}, and they
+    count as [infeasible], as in {!tune}.  [best_cycles] and
     [default_cycles] are the usual one-per-variant validations, priced
     by the coordinator's [machine] as in {!tune}. *)
+
+val search_shard :
+  shard:int ->
+  Search.t ->
+  backend:Sw_backend.Backend.t ->
+  journal:Sw_backend.Backend.journal ->
+  link:Search.link ->
+  Sw_sim.Config.t ->
+  Sw_swacc.Kernel.t ->
+  points:Space.point list ->
+  Sw_obs.Json.t
+(** A shard worker's search: run the strategy over the worker's own
+    [points] (64 active CPEs) with the cutoff [link], tally it as
+    {!tune} does, and return the stats for the worker's [Done] line
+    ({!stats_to_json}).  [backend] is the worker's full stack, already
+    wrapped in [journal] (and whatever else the worker adds); the
+    journal is read for its hit/miss counts and left open. *)
+
+val stats_to_json : shard:int -> tally -> Sw_obs.Json.t
+(** The worker-stats codec that {!search_shard} writes and
+    {!tune_sharded} reads: ["shard"], ["cpu_s"], ["machine_us"],
+    ["rank_host_s"], ["rank_machine_us"], ["rank_rejected"],
+    ["journal_hits"] and ["journal_misses"].  [tuning_host_s] and the
+    counts are not sent: the coordinator measures its own wall clock
+    and recomputes the counts from the merged journals. *)
+
+val stats_of_json : Sw_obs.Json.t -> tally
+(** Inverse of {!stats_to_json} on the fields it sends; a missing or
+    non-numeric field, and every field it does not send, reads as 0. *)
 
 val tune_exn :
   backend:Sw_backend.Backend.t ->

@@ -19,5 +19,3 @@ let pp_bytes fmt b =
   else if f >= 1024. *. 1024. then Format.fprintf fmt "%.1f MiB" (f /. (1024. *. 1024.))
   else if f >= 1024. then Format.fprintf fmt "%.1f KiB" (f /. 1024.)
   else Format.fprintf fmt "%d B" b
-
-let pp_us fmt us = Format.fprintf fmt "%.2f us" us

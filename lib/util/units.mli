@@ -19,6 +19,3 @@ val pp_cycles : Format.formatter -> float -> unit
 
 val pp_bytes : Format.formatter -> int -> unit
 (** Human-readable byte count ("64.0 KiB"). *)
-
-val pp_us : Format.formatter -> float -> unit
-(** Microseconds with two decimals. *)

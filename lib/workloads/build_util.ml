@@ -27,9 +27,3 @@ let hash2 a b =
   in
   let h = mix (Int64.add (Int64.mul (Int64.of_int a) 0x9E3779B97F4A7C15L) (Int64.of_int b)) in
   Int64.to_int (Int64.shift_right_logical h 2)
-
-let pow2_grains ~max_bytes_per_elem ~spm_budget =
-  let rec collect g acc =
-    if g * max_bytes_per_elem > spm_budget then List.rev acc else collect (g * 2) (g :: acc)
-  in
-  collect 1 []

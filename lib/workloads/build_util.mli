@@ -16,9 +16,6 @@ val copy :
     [Per_chunk] arrays, [bytes_per_elem] is the whole chunk payload and
     [n_elements] is ignored for sizing (one copy lives in memory). *)
 
-val pow2_grains : max_bytes_per_elem:int -> spm_budget:int -> int list
-(** Power-of-two grains from 1 up to the largest chunk that fits the
-    SPM budget. *)
 
 val hash2 : int -> int -> int
 (** Deterministic non-negative hash of two integers (splitmix64 mix);

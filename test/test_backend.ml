@@ -354,16 +354,18 @@ let bound_call (vi, cut, budget) =
 
 (* A memoized answer agrees with the bare simulator's: the same
    constructor and bits, a cut-off on the same side of the cutoff —
-   except that a stored verdict answers a budgeted call in full, with
-   the unbudgeted cycles. *)
-let bound_agrees (vi, cutoff, _) memo bare =
+   except that a stored verdict answers a call under an event budget in
+   full, with the unbudgeted cycles.  An unbudgeted call under a cutoff
+   gets a cut-off wherever the bare simulator gives one, so a warm memo
+   prunes exactly what a cold one does. *)
+let bound_agrees (vi, cutoff, event_budget) memo bare =
   let bits = Int64.bits_of_float in
   match (memo, bare) with
   | Backend.Assessed m, Backend.Assessed b -> bits m.Backend.cycles = bits b.Backend.cycles
   | Backend.Infeasible _, Backend.Infeasible _ -> true
   | Backend.Cut_off { at = a; _ }, Backend.Cut_off { at = b; _ } -> (
       match cutoff with Some c -> a > c = (b > c) | None -> bits a = bits b)
-  | Backend.Assessed m, Backend.Cut_off _ -> (
+  | Backend.Assessed m, Backend.Cut_off _ when event_budget <> None -> (
       match bound_truth.(vi) with
       | Some (cycles, _) -> bits m.Backend.cycles = bits cycles
       | None -> false)
@@ -454,9 +456,18 @@ let test_memo_keeps_bounds () =
   | Backend.Assessed verdict ->
       Alcotest.(check (float 0.0)) "full run" cycles verdict.Backend.cycles
   | _ -> Alcotest.fail "expected a verdict");
-  match assess ~cutoff:c () with
+  (* a stored verdict past an unbudgeted cutoff answers a free cut-off,
+     as a fresh run would; under an event budget it answers in full *)
+  (match assess ~cutoff:c () with
+  | Backend.Cut_off { at = at'; cost } ->
+      Alcotest.(check (float 0.0)) "the verdict's cycles" cycles at';
+      Alcotest.(check (float 0.0)) "a free cut-off" 0.0 cost.Backend.machine_us
+  | _ -> Alcotest.fail "expected a cut-off from the stored verdict");
+  Alcotest.(check (float 0.0)) "a verdict cut-off is a cut-off hit" 4.0
+    (Sw_obs.Sink.counter sink "memo.cutoff_hits");
+  match assess ~cutoff:c ~event_budget:(Stdlib.max 1 (events / 64)) () with
   | Backend.Assessed verdict ->
-      Alcotest.(check (float 0.0)) "the verdict answers a cutoff" cycles verdict.Backend.cycles
+      Alcotest.(check (float 0.0)) "the verdict answers a budget" cycles verdict.Backend.cycles
   | _ -> Alcotest.fail "expected the stored verdict"
 
 (* Four domains race over repeated calls: every call is a hit or a

@@ -75,16 +75,16 @@ let test_size_clamped () =
 (* ------------------------------------------------------------------ *)
 (* Determinism of the pooled tuners and sweeps *)
 
-let tuner_outcomes method_ =
+let tuner_outcomes backend =
   let entry = Sw_workloads.Registry.find_exn "kmeans" in
   let kernel = entry.Sw_workloads.Registry.build ~scale:0.25 in
   let points =
     Sw_tuning.Space.enumerate ~grains:entry.Sw_workloads.Registry.grains
       ~unrolls:entry.Sw_workloads.Registry.unrolls ()
   in
-  let baseline = Sw_tuning.Tuner.tune_exn ~backend:(Sw_tuning.Tuner.backend_of_method method_) config kernel ~points in
+  let baseline = Sw_tuning.Tuner.tune_exn ~backend config kernel ~points in
   let pooled =
-    List.map (fun n -> (n, Sw_tuning.Tuner.tune_exn ~backend:(Sw_tuning.Tuner.backend_of_method method_) ~pool:(pool n) config kernel ~points)) sizes
+    List.map (fun n -> (n, Sw_tuning.Tuner.tune_exn ~backend ~pool:(pool n) config kernel ~points)) sizes
   in
   (baseline, pooled)
 
@@ -100,13 +100,13 @@ let check_same_outcome name (a : Sw_tuning.Tuner.outcome) (b : Sw_tuning.Tuner.o
     b.Sw_tuning.Tuner.infeasible
 
 let test_tuner_deterministic_static () =
-  let baseline, pooled = tuner_outcomes Sw_tuning.Tuner.Static in
+  let baseline, pooled = tuner_outcomes Sw_backend.Backend.static_model in
   List.iter
     (fun (n, o) -> check_same_outcome (Printf.sprintf "static, %d domains" n) baseline o)
     pooled
 
 let test_tuner_deterministic_empirical () =
-  let baseline, pooled = tuner_outcomes Sw_tuning.Tuner.Empirical in
+  let baseline, pooled = tuner_outcomes Sw_backend.Backend.simulator in
   List.iter
     (fun (n, o) -> check_same_outcome (Printf.sprintf "empirical, %d domains" n) baseline o)
     pooled

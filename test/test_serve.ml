@@ -210,6 +210,32 @@ let test_strip_volatile () =
 let run_line state line =
   Handler.run state (Result.get_ok (Handler.parse_request line))
 
+(* A warm daemon prices an adaptive tune as a fresh process does: an
+   exhaustive sim tune in between stores every verdict in the shared
+   memo, and a stored verdict past the repeated tune's cutoff must
+   still answer as a cut-off, or the repeat verifies more points than
+   the first run did. *)
+let test_warm_adaptive_counts_match_cold () =
+  let state = Handler.create () in
+  let adaptive =
+    {|{"op":"tune","kernel":"lud","scale":0.25,"backend":"sim","strategy":"adaptive","rank":"model","seed":5}|}
+  in
+  let exhaustive = {|{"op":"tune","kernel":"lud","scale":0.25,"backend":"sim","seed":5}|} in
+  let counts line =
+    match (run_line state line).Handler.result with
+    | Ok r ->
+        let int key = Option.get (Option.bind (Json.member key r) Json.to_int) in
+        (int "evaluated", int "pruned", Json.member "best" r)
+    | Error msg -> Alcotest.failf "tune failed: %s" msg
+  in
+  let cold = counts adaptive in
+  ignore (counts exhaustive);
+  let warm = counts adaptive in
+  let ev (e, _, _) = e and pr (_, p, _) = p and best (_, _, b) = b in
+  Alcotest.(check int) "evaluated" (ev cold) (ev warm);
+  Alcotest.(check int) "pruned" (pr cold) (pr warm);
+  Alcotest.(check bool) "same pick" true (best cold = best warm)
+
 let test_every_response_validates () =
   let state = Handler.create () in
   let lines =
@@ -1131,6 +1157,8 @@ let tests =
       Alcotest.test_case "every response validates and round-trips" `Quick
         test_every_response_validates;
       Alcotest.test_case "daemon result = one-shot result" `Quick test_daemon_equals_oneshot;
+      Alcotest.test_case "warm adaptive tune counts = cold" `Quick
+        test_warm_adaptive_counts_match_cold;
       Alcotest.test_case "memo cache survives across requests" `Quick
         test_shared_memo_across_requests;
       Alcotest.test_case "repeated tunes validate from the memo" `Quick

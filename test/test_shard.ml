@@ -378,20 +378,20 @@ let test_axis_syntax () =
       | Error _ -> ())
     [ "0..3"; "x"; "1.."; ""; "3..1:0" ]
 
-(* A sharded tune reports the outcome fields the in-process tune does:
-   the strategy label names the rank backend actually used, and the
-   points the workers' ranking pass rejected count as infeasible, not
-   pruned (they are never journaled).  [evaluated] may differ — global
-   cutoffs reach a worker mid-shortlist — but [evaluated + pruned] may
-   not. *)
-let test_sharded_outcome_fields () =
+(* A sharded tune reports the outcome fields the in-process tune does,
+   for every ranked strategy: the strategy label names the rank backend
+   actually used, and the points the workers' ranking pass rejected
+   count as infeasible, not pruned (they are never journaled).
+   [evaluated] may differ — global cutoffs reach a worker
+   mid-verification — but [evaluated + pruned] may not. *)
+let test_sharded_outcome_fields strategy () =
   Unix.putenv "SWPM_WORKER_EXE" Sys.executable_name;
   let module H = Sw_serve.Handler in
   let req =
     {
       (H.tune_defaults ~kernel:"kmeans") with
       H.t_backend = "model";
-      t_strategy = "shortlist";
+      t_strategy = strategy;
       t_rank = Some "model";
       t_grains = Some "8,64,512,1024,2048";
       t_scale = 0.25;
@@ -411,6 +411,47 @@ let test_sharded_outcome_fields () =
     (local.Tuner.evaluated + local.Tuner.points_pruned)
     (sharded.Tuner.evaluated + sharded.Tuner.points_pruned);
   Alcotest.(check bool) "same argmin" true (local.Tuner.best = sharded.Tuner.best)
+
+(* The worker-stats codec: what a worker sends round-trips exactly
+   (floats bit-exact through the protocol line), and a [Done] line that
+   carries only some keys reads the rest as 0. *)
+let test_worker_stats_codec () =
+  let sent =
+    {
+      Tuner.tuning_host_s = 0.0;
+      tuning_cpu_s = 0.1 +. 0.2;
+      machine_time_us = 1140894.5999990494;
+      evaluated = 0;
+      infeasible = 0;
+      points_pruned = 0;
+      rank_rejected = 3;
+      rank_host_s = 0.25;
+      rank_machine_us = 18463.2;
+      journal_hits = 7;
+      journal_misses = 11;
+    }
+  in
+  let through_pipe stats =
+    match Shard.decode (Shard.encode (Shard.Done { stats; seq = Some 1 })) with
+    | Some (Shard.Done { stats; _ }) -> Tuner.stats_of_json stats
+    | _ -> Alcotest.fail "done line does not decode"
+  in
+  Alcotest.(check bool) "round trip" true (through_pipe (Tuner.stats_to_json ~shard:2 sent) = sent);
+  let partial =
+    through_pipe (Json.Obj [ ("shard", Json.Int 0); ("cpu_s", Json.Float 1.5) ])
+  in
+  Alcotest.(check bool) "missing fields read as 0" true
+    (partial
+    = {
+        sent with
+        Tuner.tuning_cpu_s = 1.5;
+        machine_time_us = 0.0;
+        rank_rejected = 0;
+        rank_host_s = 0.0;
+        rank_machine_us = 0.0;
+        journal_hits = 0;
+        journal_misses = 0;
+      })
 
 (* Sharded adaptive search lands on the in-process argmin: a worker that
    stops once the global incumbent outranks its rung still leaves the
@@ -456,7 +497,13 @@ let tests =
       Alcotest.test_case "link polled per point keeps its heartbeat" `Quick
         test_link_heartbeat_schedule;
       Alcotest.test_case "axis syntax" `Quick test_axis_syntax;
-      Alcotest.test_case "sharded outcome fields match" `Quick test_sharded_outcome_fields;
+      Alcotest.test_case "worker stats codec round-trips" `Quick test_worker_stats_codec;
+      Alcotest.test_case "sharded outcome fields match" `Quick
+        (test_sharded_outcome_fields "shortlist");
+      Alcotest.test_case "sharded outcome fields match (adaptive)" `Quick
+        (test_sharded_outcome_fields "adaptive");
+      Alcotest.test_case "sharded outcome fields match (robust)" `Quick
+        (test_sharded_outcome_fields "robust");
       Alcotest.test_case "sharded adaptive argmin matches in-process" `Quick
         test_sharded_adaptive_argmin;
     ] )

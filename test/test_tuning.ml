@@ -40,8 +40,8 @@ let test_both_tuners_agree_on_kmeans () =
   let entry = Sw_workloads.Registry.find_exn "kmeans" in
   let kernel = entry.Sw_workloads.Registry.build ~scale:0.25 in
   let pts = points entry in
-  let static = Tuner.tune_exn ~backend:(Tuner.backend_of_method Tuner.Static) config kernel ~points:pts in
-  let empirical = Tuner.tune_exn ~backend:(Tuner.backend_of_method Tuner.Empirical) config kernel ~points:pts in
+  let static = Tuner.tune_exn ~backend:Sw_backend.Backend.static_model config kernel ~points:pts in
+  let empirical = Tuner.tune_exn ~backend:Sw_backend.Backend.simulator config kernel ~points:pts in
   Alcotest.(check bool) "quality loss under 6% (paper bound)" true
     (Tuner.quality_loss ~static ~empirical < 0.06);
   Alcotest.(check bool) "static found a real improvement" true
@@ -50,13 +50,13 @@ let test_both_tuners_agree_on_kmeans () =
 let test_static_never_simulates () =
   let entry = Sw_workloads.Registry.find_exn "lud" in
   let kernel = entry.Sw_workloads.Registry.build ~scale:0.5 in
-  let o = Tuner.tune_exn ~backend:(Tuner.backend_of_method Tuner.Static) config kernel ~points:(points entry) in
+  let o = Tuner.tune_exn ~backend:Sw_backend.Backend.static_model config kernel ~points:(points entry) in
   Alcotest.(check (float 1e-9)) "no machine time" 0.0 o.Tuner.machine_time_us
 
 let test_empirical_accumulates_machine_time () =
   let entry = Sw_workloads.Registry.find_exn "lud" in
   let kernel = entry.Sw_workloads.Registry.build ~scale:0.5 in
-  let o = Tuner.tune_exn ~backend:(Tuner.backend_of_method Tuner.Empirical) config kernel ~points:(points entry) in
+  let o = Tuner.tune_exn ~backend:Sw_backend.Backend.simulator config kernel ~points:(points entry) in
   Alcotest.(check bool) "profiling runs cost machine time" true (o.Tuner.machine_time_us > 0.0);
   Alcotest.(check int) "all feasible points evaluated" (List.length (points entry))
     (o.Tuner.evaluated + o.Tuner.infeasible)
@@ -65,7 +65,7 @@ let test_infeasible_counted () =
   let entry = Sw_workloads.Registry.find_exn "lud" in
   let kernel = entry.Sw_workloads.Registry.build ~scale:1.0 in
   let pts = Space.enumerate ~grains:[ 1; 512 ] ~unrolls:[ 1 ] () in
-  let o = Tuner.tune_exn ~backend:(Tuner.backend_of_method Tuner.Static) config kernel ~points:pts in
+  let o = Tuner.tune_exn ~backend:Sw_backend.Backend.static_model config kernel ~points:pts in
   Alcotest.(check int) "oversized variant rejected at compile time" 1 o.Tuner.infeasible;
   Alcotest.(check int) "one evaluated" 1 o.Tuner.evaluated
 
@@ -90,14 +90,14 @@ let test_no_feasible_point_typed_error () =
 let test_best_beats_default () =
   let entry = Sw_workloads.Registry.find_exn "backprop" in
   let kernel = entry.Sw_workloads.Registry.build ~scale:0.125 in
-  let o = Tuner.tune_exn ~backend:(Tuner.backend_of_method Tuner.Empirical) config kernel ~points:(points entry) in
+  let o = Tuner.tune_exn ~backend:Sw_backend.Backend.simulator config kernel ~points:(points entry) in
   Alcotest.(check bool) "tuned variant at least as fast as default" true
     (o.Tuner.best_cycles <= o.Tuner.default_cycles +. 1.0)
 
 let test_pp_outcome () =
   let entry = Sw_workloads.Registry.find_exn "lud" in
   let kernel = entry.Sw_workloads.Registry.build ~scale:0.5 in
-  let o = Tuner.tune_exn ~backend:(Tuner.backend_of_method Tuner.Static) config kernel ~points:(points entry) in
+  let o = Tuner.tune_exn ~backend:Sw_backend.Backend.static_model config kernel ~points:(points entry) in
   Alcotest.(check bool) "pp" true (String.length (Format.asprintf "%a" Tuner.pp_outcome o) > 40)
 
 let tests =
