@@ -204,6 +204,10 @@ val instrument : Sw_obs.Sink.t -> t -> t
 
 (** {1 Memoization}
 
+    One verdict store serves {!memoize} and {!journal}: the same key,
+    the same lookup and the same publish rule; a journal only preloads
+    its table from a file and appends what it publishes.
+
     A memoizing wrapper keyed on the full simulation configuration
     (machine parameters included), the kernel's identity (name, element
     count, vector width) and the variant.  Verdicts {e and}
@@ -305,17 +309,20 @@ val fallback : ?sink:Sw_obs.Sink.t -> t list -> t
 
 (** {1 Crash-safe journaling}
 
-    A journal wrapper persists every resolved assessment — one JSON
-    object per line, flushed as written — so an interrupted tuning
-    sweep can resume without repeating work.  Replay is {e exact}:
-    cycles are serialized with 17 significant digits (lossless for IEEE
-    doubles), so a resumed argmin is bit-identical to the uninterrupted
-    one.  The file is bound to one simulation configuration by a digest
-    in its header line; a journal written under different machine
-    parameters is discarded rather than replayed.  A truncated final
-    line — the kill-mid-write case — is ignored on replay, losing at
-    most the single point in flight.  [Cut_off] results are never
-    journaled (they depend on the caller's budget, not the point).
+    A journal is the memo store above made durable: it persists what
+    the store learns — every resolved assessment and every cut-off
+    bound — one JSON object per line, flushed as written, so an
+    interrupted tuning sweep can resume without repeating work.  Replay
+    is {e exact}: cycles are serialized with 17 significant digits
+    (lossless for IEEE doubles), so a resumed argmin is bit-identical
+    to the uninterrupted one.  The file is bound to one simulation
+    configuration by a digest in its header line; a journal written
+    under different machine parameters is discarded rather than
+    replayed.  A truncated final line — the kill-mid-write case — is
+    ignored on replay, losing at most the single point in flight.  A
+    [Cut_off { at }] is journaled as a bound, exactly as the memo keeps
+    it: a resumed search that asks again under a cutoff below [at] is
+    answered from the file, and any other ask re-runs the point.
 
     {2 Line format}
 
@@ -329,7 +336,11 @@ v}
     Strings are OCaml literals (["%S"]: [String.escaped], so non-ASCII
     bytes read as [\ddd]), ints decimal, bools [true]/[false], floats
     ["%.17g"].  An [infeasible] line carries [backend] and [reason] and
-    zeros for the numbers; an [ok] line the reverse.  These are the
+    zeros for the numbers; an [ok] line the reverse.  A [cutoff] line
+    carries the bound [at] in [cycles], the cut-off run's sunk cost in
+    [machine_us] and [events], and empty strings; builds that predate
+    it skip such a line as an unknown status.  The [ok] and
+    [infeasible] lines are the
     bytes of the [Printf] formats every earlier build wrote, so journals
     replay across builds.  A reader accepts what the mirror-image
     [Scanf] format accepted: a space matches any run of blanks, ints
@@ -343,19 +354,26 @@ type journal
 
 val journal : ?sink:Sw_obs.Sink.t -> path:string -> Sw_sim.Config.t -> t -> journal
 (** [journal ~path config b] opens (or resumes) the journal at [path]
-    for assessments under [config].  Points already journaled are
-    replayed with {!zero_cost} and a [None] breakdown instead of being
-    re-assessed; new resolutions are appended and flushed one line at a
-    time.  Assessments under a {e different} configuration pass through
-    unjournaled.  With [sink], hits/misses bump ["journal.hits"] /
-    ["journal.misses"], mirroring {!journal_hits} / {!journal_misses}. *)
+    for assessments under [config]: it replays the file into a memo
+    store (see {!memoize}) and wraps [b] with it.  Lines of one key fold
+    as {!journal_merge} folds them.  Points already journaled are
+    answered with {!zero_cost} and a [None] breakdown instead of being
+    re-assessed, and a journaled bound answers as a stored one does;
+    misses are single-flight, and each one that adds to the store — a
+    verdict, an infeasibility, a stronger bound — is appended and
+    flushed as one line.  Assessments under a {e different}
+    configuration are memoized but not journaled.  With [sink],
+    hits/misses bump ["journal.hits"] / ["journal.misses"], mirroring
+    {!journal_hits} / {!journal_misses}, and a hit answered with a
+    [Cut_off] also bumps ["journal.cutoff_hits"]. *)
 
 val journaled : journal -> t
 (** The wrapping backend (named ["journal(<inner>)"]). *)
 
 val journal_hits : journal -> int
-(** Assessments answered from the journal (replayed or repeated) —
-    each one is a point the resumed run did {e not} recompute. *)
+(** Assessments answered from the journal's store (replayed or
+    repeated, cut-off bounds included) — each one is a point the
+    resumed run did {e not} recompute. *)
 
 val journal_misses : journal -> int
 (** Assessments that ran the inner backend. *)
@@ -385,9 +403,11 @@ type journal_key = {
 type journal_entry =
   | Journal_ok of { cycles : float; machine_us : float; machine_events : int }
   | Journal_infeasible of { jbackend : string; jreason : string }
-      (** A resolved assessment as journaled: either priced ([cycles]
-          round-trips bit-exactly) or compile-time infeasible.
-          [Cut_off] results are never journaled. *)
+  | Journal_cutoff of { at : float }
+      (** An assessment as journaled: priced ([cycles] round-trips
+          bit-exactly), compile-time infeasible, or cut off — the
+          variant costs at least [at] cycles (the file image of a memo
+          bound; its line's sunk cost is not read back). *)
 
 exception Journal_mismatch of { path : string; expected : string; found : string }
 (** Raised by {!journal_merge} (without [on_issue]) when a journal file
@@ -421,7 +441,8 @@ val journal_header_line : Sw_sim.Config.t -> string
 val journal_entry_line : journal_key -> journal_entry -> string
 (** The exact line (no newline) {!journal} appends for one resolved
     assessment — exposed so tests and tools can craft journal files
-    byte-compatible with the writer. *)
+    byte-compatible with the writer.  A [Journal_cutoff] line carries
+    zero sunk cost. *)
 
 val journal_parse_line : string -> (journal_key * journal_entry) option
 (** The decoder every journal reader applies to one line (no newline):
@@ -446,10 +467,14 @@ val journal_merge :
   string list ->
   (journal_key, journal_entry) Hashtbl.t
 (** [journal_merge ~config paths] folds {!journal_read} over [paths]
-    into one table.  Duplicate keys resolve to the {e first}-written
-    entry, in [paths] order — deterministic backends journal the same
-    verdict everywhere, so this only matters for crafted inputs, but
-    the rule is fixed so merged argmins are reproducible.  A file that
+    into one table, lines in write order and files in [paths] order.
+    Lines of one key combine by one rule, the one resume uses too: a
+    verdict ([Journal_ok] or [Journal_infeasible]) beats a
+    [Journal_cutoff], two cut-offs keep the larger [at], and of two
+    verdicts the {e first}-written one stands — deterministic backends
+    journal the same verdict everywhere, so this only matters for
+    crafted inputs, but the rule is fixed so merged argmins are
+    reproducible.  A file that
     fails to read contributes nothing: with [on_issue] the issue is
     reported to the callback; without it an unreadable file is skipped
     silently and a mismatched one raises {!Journal_mismatch} (a digest

@@ -300,7 +300,7 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
             | Some (Backend.Journal_infeasible _) ->
                 incr infeasible;
                 None
-            | None ->
+            | Some (Backend.Journal_cutoff _) | None ->
                 incr pruned;
                 None)
           points

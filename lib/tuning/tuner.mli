@@ -82,10 +82,12 @@ type outcome = {
       (** Assessments answered from the [checkpoint] journal instead of
           being recomputed (0 without a checkpoint).  On a resumed
           sweep this counts exactly the points the interrupted run had
-          already resolved. *)
+          already resolved, cut-off bounds included. *)
   journal_misses : int;
-      (** Assessments that actually ran and were appended to the
-          journal (0 without a checkpoint). *)
+      (** Assessments that actually ran through the journal (0 without
+          a checkpoint); each one that resolved its point or proved a
+          stronger bound under the journal's configuration was
+          appended to it. *)
   restarts : int;
       (** Worker relaunches the supervisor performed ({!tune_sharded}
           only; 0 in-process). *)
@@ -155,10 +157,11 @@ val tune :
     — even a [SIGKILL] mid-write — replays the journaled points
     verbatim instead of recomputing them, reaching a bit-identical
     argmin.  [journal_hits]/[journal_misses] in the outcome prove what
-    was replayed vs recomputed.  [Cut_off] results are never journaled
-    (they depend on the run's budgets), and the robust strategy's
-    fault-plan re-assessments run under perturbed configurations, which
-    pass through the journal unrecorded. *)
+    was replayed vs recomputed.  A [Cut_off] is journaled as a lower
+    bound, so a resumed ranked search answers the verifications its
+    cutoff abandoned from the file too.  The robust strategy's
+    fault-plan re-assessments run under perturbed configurations: the
+    journal memoizes them for the run but does not record them. *)
 
 val tune_sharded :
   backend_name:string ->
@@ -187,7 +190,9 @@ val tune_sharded :
     via the {!Shard} cutoff protocol.  The coordinator assesses nothing
     itself: it merges the per-shard journals
     ({!Sw_backend.Backend.journal_merge} — config-digest-checked,
-    truncated tails dropped, first-written entry wins) and folds the
+    truncated tails dropped, a verdict beats a cut-off bound and the
+    first-written verdict wins; a key left with only a bound counts as
+    pruned) and folds the
     argmin over [points] in global enumeration order with the same
     strict [<] tie-break as {!tune}, so the sharded pick is the
     single-process pick whenever each worker's search finds its shard's

@@ -374,7 +374,11 @@ let bound_agrees (vi, cutoff, event_budget) memo bare =
 let run_bound_call b (vi, cutoff, event_budget) =
   Backend.assess_budget ?cutoff ?event_budget b config bound_kernel bound_variants.(vi)
 
-let prop_memo_bounds_agree_with_simulator =
+(* [run inner calls] answers [calls] through a store over [inner] and
+   reports its answers, hits and misses: every answer agrees with the
+   bare simulator's, every call is a hit or a miss, and every miss asks
+   the simulator once. *)
+let prop_bounds_agree_with_simulator ~name run =
   let call =
     QCheck.(
       triple
@@ -382,19 +386,48 @@ let prop_memo_bounds_agree_with_simulator =
         (option (int_range 0 5))
         (option (int_range 0 2)))
   in
-  QCheck.Test.make ~name:"memo with cut-off bounds = bare simulator" ~count:40
+  QCheck.Test.make ~name ~count:40
     QCheck.(list_of_size Gen.(int_range 1 24) call)
     (fun calls ->
+      let calls = List.map bound_call calls in
       let inner, inner_calls = counting_simulator () in
+      let answers, hits, misses = run inner calls in
+      List.for_all2
+        (fun c r -> bound_agrees c r (run_bound_call Backend.simulator c))
+        calls answers
+      && hits + misses = List.length calls
+      && misses = Atomic.get inner_calls)
+
+let prop_memo_bounds_agree_with_simulator =
+  prop_bounds_agree_with_simulator ~name:"memo with cut-off bounds = bare simulator"
+    (fun inner calls ->
       let memo = Backend.memoize inner in
-      let b = Backend.memoized memo in
-      List.for_all
-        (fun c ->
-          let c = bound_call c in
-          bound_agrees c (run_bound_call b c) (run_bound_call Backend.simulator c))
-        calls
-      && Backend.memo_hits memo + Backend.memo_misses memo = List.length calls
-      && Backend.memo_misses memo = Atomic.get inner_calls)
+      let answers = List.map (run_bound_call (Backend.memoized memo)) calls in
+      (answers, Backend.memo_hits memo, Backend.memo_misses memo))
+
+(* The journal is the same store made durable: closed and reopened
+   halfway through the calls, it answers from the file exactly what the
+   memo answers from memory. *)
+let prop_journal_bounds_agree_with_simulator =
+  prop_bounds_agree_with_simulator ~name:"journal with cut-off bounds = bare simulator"
+    (fun inner calls ->
+      let path = Filename.temp_file "swpm_bounds" ".journal" in
+      let session calls =
+        let j = Backend.journal ~path config inner in
+        let answers = List.map (run_bound_call (Backend.journaled j)) calls in
+        Backend.journal_close j;
+        (answers, Backend.journal_hits j, Backend.journal_misses j)
+      in
+      let half = List.length calls / 2 in
+      let a1, h1, m1 = session (List.filteri (fun i _ -> i < half) calls) in
+      let a2, h2, m2 = session (List.filteri (fun i _ -> i >= half) calls) in
+      Sys.remove path;
+      let memo = Backend.memoize Backend.simulator in
+      List.iter (fun c -> ignore (run_bound_call (Backend.memoized memo) c)) calls;
+      if m1 + m2 <> Backend.memo_misses memo then
+        QCheck.Test.fail_reportf "the journal missed %d times, the memo %d" (m1 + m2)
+          (Backend.memo_misses memo);
+      (a1 @ a2, h1 + h2, m1 + m2))
 
 let test_memo_keeps_bounds () =
   let fail = ref false in
@@ -652,6 +685,7 @@ let tests =
       Alcotest.test_case "memo caches infeasibility" `Quick test_memo_caches_infeasibility;
       Alcotest.test_case "memo composes with pool" `Quick test_memo_composes_with_pool;
       QCheck_alcotest.to_alcotest prop_memo_bounds_agree_with_simulator;
+      QCheck_alcotest.to_alcotest prop_journal_bounds_agree_with_simulator;
       Alcotest.test_case "memo keeps cut-off bounds" `Quick test_memo_keeps_bounds;
       Alcotest.test_case "memo bounds exact under pool(4)" `Quick test_memo_bounds_under_pool;
       Alcotest.test_case "hybrid = static without gloads" `Quick test_hybrid_no_gloads_equals_static;

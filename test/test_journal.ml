@@ -35,6 +35,7 @@ let oracle_line (key : Backend.journal_key) entry =
         ("ok", cycles, machine_us, machine_events, "", "")
     | Backend.Journal_infeasible { jbackend; jreason } ->
         ("infeasible", 0.0, 0.0, 0, jbackend, jreason)
+    | Backend.Journal_cutoff { at } -> ("cutoff", at, 0.0, 0, "", "")
   in
   Printf.sprintf oracle_line_fmt key.Backend.jk_kernel key.Backend.jk_elems key.Backend.jk_vw
     v.Kernel.grain v.Kernel.unroll v.Kernel.active_cpes v.Kernel.double_buffer status cycles
@@ -55,6 +56,7 @@ let oracle_parse line =
         match status with
         | "ok" -> Some (key, Backend.Journal_ok { cycles; machine_us; machine_events = events })
         | "infeasible" -> Some (key, Backend.Journal_infeasible { jbackend; jreason })
+        | "cutoff" -> Some (key, Backend.Journal_cutoff { at = cycles })
         | _ -> None)
   with Scanf.Scan_failure _ | End_of_file | Failure _ -> None
 
@@ -65,7 +67,8 @@ let canon =
         match entry with
         | Backend.Journal_ok { cycles; machine_us; machine_events } ->
             `Ok (Int64.bits_of_float cycles, Int64.bits_of_float machine_us, machine_events)
-        | Backend.Journal_infeasible { jbackend; jreason } -> `Infeasible (jbackend, jreason) ))
+        | Backend.Journal_infeasible { jbackend; jreason } -> `Infeasible (jbackend, jreason)
+        | Backend.Journal_cutoff { at } -> `Cutoff (Int64.bits_of_float at) ))
 
 let show = function
   | None -> "None"
@@ -139,6 +142,7 @@ let gen_entry_with gen_float =
           map
             (fun (jbackend, jreason) -> Backend.Journal_infeasible { jbackend; jreason })
             (pair gen_string gen_string) );
+        (1, map (fun at -> Backend.Journal_cutoff { at }) gen_float);
       ])
 
 let arb_pair gen_float =

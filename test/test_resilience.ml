@@ -292,6 +292,46 @@ let test_journal_replays_infeasibility () =
   Backend.journal_close j2;
   Sys.remove path
 
+(* A resumed ranked search repeats no work: every verification of the
+   second run — the cut-off ones included, as journaled bounds — is
+   answered from the first run's journal, and the outcome is the first
+   run's. *)
+let test_resumed_search_repeats_no_work () =
+  List.iter
+    (fun (name, strategy) ->
+      let path = tmp_file ".journal" in
+      Sys.remove path;
+      let kernel = kernel_of name 0.25 in
+      let points = points_of name in
+      let run () =
+        Tuner.tune_exn ~backend:Backend.simulator ~strategy ~checkpoint:path config kernel
+          ~points
+      in
+      let o1 = run () in
+      let o2 = run () in
+      let what = Printf.sprintf "%s %s: " name o1.Tuner.strategy in
+      (match Backend.journal_read ~config path with
+      | Ok entries ->
+          Alcotest.(check bool) (what ^ "the first run journaled a cut-off") true
+            (List.exists (function _, Backend.Journal_cutoff _ -> true | _ -> false) entries)
+      | Error issue -> Alcotest.fail (Backend.journal_issue_string issue));
+      Alcotest.(check int) (what ^ "resume recomputes nothing") 0 o2.Tuner.journal_misses;
+      Alcotest.(check bool) (what ^ "same pick") true (o1.Tuner.best = o2.Tuner.best);
+      Alcotest.(check (float 0.0)) (what ^ "best cycles") o1.Tuner.best_cycles
+        o2.Tuner.best_cycles;
+      Alcotest.(check (float 0.0)) (what ^ "default cycles") o1.Tuner.default_cycles
+        o2.Tuner.default_cycles;
+      Alcotest.(check int) (what ^ "evaluated") o1.Tuner.evaluated o2.Tuner.evaluated;
+      Alcotest.(check int) (what ^ "infeasible") o1.Tuner.infeasible o2.Tuner.infeasible;
+      Alcotest.(check int) (what ^ "pruned") o1.Tuner.points_pruned o2.Tuner.points_pruned;
+      Sys.remove path)
+    [
+      ("lud", Search.shortlist ~k:8 ());
+      ("lud", Search.adaptive_shortlist ~k:4 ());
+      ("kmeans", Search.shortlist ~k:8 ());
+      ("kmeans", Search.adaptive_shortlist ~k:4 ());
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Robust search *)
 
@@ -455,6 +495,8 @@ let tests =
         test_checkpointed_sweep_resumes_bit_identical;
       Alcotest.test_case "journal bound to config" `Quick test_journal_bound_to_config;
       Alcotest.test_case "journal replays infeasibility" `Quick test_journal_replays_infeasibility;
+      Alcotest.test_case "resumed search repeats no work" `Quick
+        test_resumed_search_repeats_no_work;
       Alcotest.test_case "robust = min-of-worst-case" `Slow
         test_robust_strategy_picks_min_of_worst_case;
       Alcotest.test_case "robust strategy validates" `Quick test_robust_strategy_validates;
