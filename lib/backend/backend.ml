@@ -601,6 +601,14 @@ let assessment_of_entry = function
 let supersedes old next =
   match (old, next) with Some a, Some b -> b > a | Some _, None -> true | None, _ -> false
 
+(* What a line leaves in the store: [slot_of] of the line's assessment,
+   built without the sunk cost that [slot_of] would drop. *)
+let slot_of_entry = function
+  | Journal_ok { cycles; _ } -> Memo_done (Assessed { cycles; cost = zero_cost; breakdown = None })
+  | Journal_infeasible { jbackend; jreason } ->
+      Memo_done (Infeasible { backend = jbackend; reason = jreason })
+  | Journal_cutoff { at } -> Memo_bound at
+
 let slot_bound = function Memo_bound at -> Some at | Memo_done _ | Memo_running -> None
 
 let entry_bound = function
@@ -1008,7 +1016,7 @@ let journal ?sink ~path config (inner : t) : journal =
   let table = Memo_table.create (size_for [ path ]) in
   let replay k e =
     let key = memo_key config k.jk_kernel k.jk_elems k.jk_vw k.jk_variant in
-    let slot = slot_of (assessment_of_entry e) in
+    let slot = slot_of_entry e in
     match Memo_table.find_opt table key with
     | None -> Memo_table.add table key slot
     | Some old ->

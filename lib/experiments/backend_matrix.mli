@@ -17,9 +17,6 @@ type row = {
   same_pick_as_sim : bool;
 }
 
-val default_backends : string list
-(** [["model"; "sim"; "hybrid"; "roofline"]]. *)
-
 val run :
   ?scale:float ->
   ?params:Sw_arch.Params.t ->
@@ -27,8 +24,8 @@ val run :
   ?pool:Sw_util.Pool.t ->
   unit ->
   row list
-(** Rows are grouped per kernel, in [backends] order within each group.
-    [pool] fans each search's variant assessments out, as in
+(** Rows are grouped per kernel, in [backends] order within each group
+    ([["model"; "sim"; "hybrid"; "roofline"]] by default).  [pool] fans each search's variant assessments out, as in
     {!Table2.run}. *)
 
 val print : row list -> unit

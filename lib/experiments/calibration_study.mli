@@ -27,12 +27,10 @@ type result = {
   report : Sw_learn.Calibrate.report;
 }
 
-val default_factors : (string * float) list
-(** Perturbation per parameter name: [l_base ×1.25], [delta_delay
-    ×1.5], [mem_bw ×0.7]. *)
-
 val perturb : ?factors:(string * float) list -> Sw_sim.Config.t -> Sw_sim.Config.t
-(** Apply the factors to a configuration (exposed for tests). *)
+(** Apply the factors, a multiplier per parameter name, to a
+    configuration (exposed for tests).  [factors] defaults to
+    [l_base ×1.25], [delta_delay ×1.5], [mem_bw ×0.7]. *)
 
 val points :
   ?scale:float -> Sw_sim.Config.t -> Sw_learn.Calibrate.point list

@@ -31,10 +31,17 @@ val iterated_cycles : Sw_arch.Params.t -> Instr.t array -> trips:int -> float
 val block_costs : Sw_arch.Params.t -> Instr.t array -> float * float
 (** [block_costs params block] is [(first, steady)]: the completion
     cycles of one cold execution and the steady-state cycles per loop
-    iteration.  Results are memoized in a process-wide, thread-safe
-    cache keyed by [(params, block)], so repeated simulator and model
-    runs across code variants — and across domains of a tuning pool —
-    never reschedule a structurally identical block. *)
+    iteration.  Results are memoized in a process-wide
+    {!Sw_util.Memo} keyed by [(params, block)] and bounded to
+    {!cache_capacity} blocks, so repeated simulator and model runs
+    across code variants — and across domains of a tuning pool — never
+    reschedule a structurally identical block that is still resident. *)
+
+val cache_capacity : int
+(** Blocks the block-cost cache holds before it forgets the oldest.
+    [Lower]'s code-block table shares this bound: the cost cache pins
+    the blocks it has scheduled anyway, so a block table that matches
+    it costs no extra memory. *)
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the shared block-cost cache since start or the
@@ -47,7 +54,7 @@ val clear_cache : unit -> unit
     ids and their [(first, steady)] costs live in flat [float array]s,
     so a hot loop (the simulator's execution core) costs a block with
     two array reads instead of a hashtable probe.  {!Table.intern} is
-    served from the same process-wide mutex-guarded cache as
+    served from the same process-wide memo as
     {!block_costs}, so the table stays coherent with the static model
     and with other tuning domains. *)
 module Table : sig

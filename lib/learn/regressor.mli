@@ -73,8 +73,6 @@ val cross_validate :
 
 (** {1 Persistence} *)
 
-val to_json : t -> Sw_obs.Json.t
-
 val of_json : Sw_obs.Json.t -> (t, string) result
 
 val save : t -> string -> unit

@@ -46,10 +46,12 @@ val spm_required : Kernel.t -> Kernel.variant -> int
     are recomputed per variant, so every variant of a grain shares one
     chunk walk.
 
-    All three tables are mutex-guarded (safe under {!Sw_util.Pool}
-    fan-out) and FIFO-bounded — 64 lowerings, 16 shapes, 64 blocks —
-    which covers a sweep's working set because the tuner's
-    [Space.enumerate] is grain-major and shards keep that order. *)
+    All three tables are {!Sw_util.Memo}s (safe under {!Sw_util.Pool}
+    fan-out, oldest entry forgotten first) bounded to 64 lowerings, 16
+    shapes and {!Sw_isa.Schedule.cache_capacity} blocks, which covers a
+    sweep's working set because the tuner's [Space.enumerate] is
+    grain-major and shards keep that order: a whole unroll axis stays
+    resident from one grain to the next. *)
 
 val lower_cached :
   Sw_arch.Params.t -> Kernel.t -> Kernel.variant -> (Lowered.t, string) result

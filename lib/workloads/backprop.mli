@@ -2,8 +2,6 @@
 
 val hidden : int
 
-val base_units : int
-
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented
     evaluation size). *)

@@ -1,12 +1,6 @@
 (** Breadth-first search (Rodinia) — Gload-dominated and imbalanced,
     the paper's worst case. *)
 
-val base_nodes : int
-
-val min_degree : int
-
-val degree_spread : int
-
 val degree_of : seed:int -> int -> int
 (** Deterministic per-node degree (exposed for tests). *)
 

@@ -1,10 +1,6 @@
 (** B+tree point queries (Rodinia) — one 32-byte Gload per level. *)
 
-val base_queries : int
-
 val levels : int
-
-val node_bytes : int
 
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented

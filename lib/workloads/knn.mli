@@ -1,9 +1,5 @@
 (** k-Nearest-Neighbors distance pass (Rodinia nn). *)
 
-val record_bytes : int
-
-val base_records : int
-
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented
     evaluation size). *)

@@ -1,13 +1,5 @@
 (** LavaMD particle interactions (Rodinia). *)
 
-val particles_per_box : int
-
-val neighbor_particles : int
-
-val particle_bytes : int
-
-val base_particles : int
-
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented
     evaluation size). *)

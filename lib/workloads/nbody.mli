@@ -3,10 +3,6 @@
 val tile : int
 (** Bodies resident in the SPM per chunk. *)
 
-val body_bytes : int
-
-val base_bodies : int
-
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented
     evaluation size). *)

@@ -1,7 +1,5 @@
 (** PathFinder grid DP (Rodinia). *)
 
-val base_cols : int
-
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented
     evaluation size). *)

@@ -1,7 +1,5 @@
 (** Streamcluster (Rodinia) — SPM distances plus Gload lookups. *)
 
-val dims : int
-
 val medians : int
 
 val base_points : int

@@ -1,7 +1,5 @@
 (** Vector-Add, the paper's Figure-3 running example. *)
 
-val base_n : int
-
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented
     evaluation size). *)

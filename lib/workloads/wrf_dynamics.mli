@@ -8,10 +8,6 @@ val row_bytes : int
 
 val base_rows : int
 
-val fields_in : int
-
-val fields_out : int
-
 val slice_bytes : active:int -> int
 (** Per-CPE slice of one row.
     @raise Invalid_argument when [active] does not divide the row. *)

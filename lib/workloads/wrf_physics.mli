@@ -2,10 +2,6 @@
 
 val levels : int
 
-val column_bytes : int
-
-val base_columns : int
-
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented
     evaluation size). *)

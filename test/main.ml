@@ -5,6 +5,7 @@ let suites =
     Test_heap.tests;
     Test_calendar_queue.tests;
     Test_pool.tests;
+    Test_memo.tests;
     Test_table.tests;
     Test_csv.tests;
     Test_units.tests;

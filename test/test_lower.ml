@@ -288,6 +288,30 @@ let test_memo_differential () =
         grid)
     kernels
 
+(* A grain-major sweep revisits its whole unroll axis once per grain.
+   The code-block table must hold a long axis across grains: were it
+   to evict blocks before the next grain reaches them, every grain
+   would regenerate every block, and each regenerated array would cost
+   a structural match in the block-cost cache. *)
+let test_unroll_axis_resident () =
+  let k = Sw_workloads.Vadd.kernel ~scale:0.01 in
+  let unrolls = List.init 130 (fun i -> i + 1) in
+  let blocks_at grain =
+    List.map
+      (fun unroll ->
+        match Lower.summarize p k (variant ~grain ~unroll ()) with
+        | Ok s -> List.map (fun c -> c.Lowered.block) s.Lowered.computes
+        | Error msg -> Alcotest.failf "grain=%d unroll=%d: %s" grain unroll msg)
+      unrolls
+  in
+  Lower.clear_cache ();
+  let first = List.concat (blocks_at 1000) in
+  List.iteri
+    (fun i blocks ->
+      let kept = blocks <> [] && List.for_all (fun b -> List.exists (( == ) b) first) blocks in
+      if not kept then Alcotest.failf "unroll %d: the second grain rebuilt a code block" (i + 1))
+    (blocks_at 1100)
+
 let tests =
   ( "lower",
     [
@@ -306,4 +330,5 @@ let tests =
       Alcotest.test_case "summarize = lower summary" `Quick test_summarize_matches_lower;
       Alcotest.test_case "active CPEs capped by chunks" `Quick test_active_cpes_capped_by_chunks;
       Alcotest.test_case "memoized summary path agrees" `Quick test_memo_differential;
+      Alcotest.test_case "unroll axis stays resident across grains" `Quick test_unroll_axis_resident;
     ] )
