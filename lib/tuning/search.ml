@@ -160,24 +160,28 @@ let rank_space ~rank ~active_cpes ?pool ?link config kernel points =
             incr ticks;
             if !ticks land 31 = 0 then ignore (l.current () : float option)
         | None -> ());
-        (point, Backend.assess rank config kernel (Space.to_variant point ~active_cpes)))
+        (* keep only what ranking reads: a space's worth of full
+           verdicts would be most of the heap *)
+        ( point,
+          match Backend.assess rank config kernel (Space.to_variant point ~active_cpes) with
+          | Ok v -> Ok (v.Backend.cycles, v.Backend.cost.Backend.machine_us)
+          | Error e -> Error e ))
       points
   in
   let rank_host_s = Unix.gettimeofday () -. wall0 in
   let rank_machine_us =
     List.fold_left
-      (fun acc (_, r) ->
-        match r with Ok v -> acc +. v.Backend.cost.Backend.machine_us | Error _ -> acc)
+      (fun acc (_, r) -> match r with Ok (_, us) -> acc +. us | Error _ -> acc)
       0.0 ranked
   in
   let indexed = List.mapi (fun i (p, r) -> (i, p, r)) ranked in
   let feasible =
-    List.filter_map (function i, p, Ok v -> Some (i, p, v) | _, _, Error _ -> None) indexed
+    List.filter_map (function i, p, Ok (c, _) -> Some (i, p, c) | _, _, Error _ -> None) indexed
   in
   let order =
     List.sort
-      (fun (i1, _, (v1 : Backend.verdict)) (i2, _, v2) ->
-        compare (v1.Backend.cycles, i1) (v2.Backend.cycles, i2))
+      (fun (i1, _, c1) (i2, _, c2) ->
+        match Float.compare c1 c2 with 0 -> Int.compare i1 i2 | c -> c)
       feasible
   in
   (indexed, order, rank_host_s, rank_machine_us)

@@ -46,17 +46,39 @@ let fnv_int h n =
   in
   if n < 0 then digits (fnv_byte h '-') n else digits h (-n)
 
-let assign ~shards p =
-  if shards < 1 then invalid_arg "Shard.assign: shards must be >= 1";
-  let h = fnv_int (fnv_byte fnv_offset 'g') p.Space.grain in
-  let h = fnv_int (fnv_string h "|u") p.Space.unroll in
-  let h = fnv_string h (if p.Space.double_buffer then "|dbtrue" else "|dbfalse") in
+(* The key is hashed field by field, so a walk over the axes can hash
+   each grain's prefix once and each unroll's once, not once per point. *)
+let hash_grain grain = fnv_string (fnv_int (fnv_byte fnv_offset 'g') grain) "|u"
+
+let shard_of ~shards h double_buffer =
+  let h = fnv_string h (if double_buffer then "|dbtrue" else "|dbfalse") in
   (* the unsigned low 63 bits, as the 64-bit hash masked with max_int *)
   Int64.to_int (Int64.rem (Int64.logand (Int64.of_int h) Int64.max_int) (Int64.of_int shards))
+
+let assign ~shards p =
+  if shards < 1 then invalid_arg "Shard.assign: shards must be >= 1";
+  shard_of ~shards (fnv_int (hash_grain p.Space.grain) p.Space.unroll) p.Space.double_buffer
 
 let mine ~shard ~shards points =
   if shard < 0 || shard >= shards then invalid_arg "Shard.mine: shard out of range";
   List.filter (fun p -> assign ~shards p = shard) points
+
+(* [Space.fold]'s order, hashing along the axes *)
+let enumerate ~shard ~shards { Space.grains; unrolls; double_buffers } =
+  if shard < 0 || shard >= shards then invalid_arg "Shard.enumerate: shard out of range";
+  let fold f l acc = List.fold_left f acc l in
+  List.rev
+  @@ fold (fun acc grain ->
+         let hg = hash_grain grain in
+         fold (fun acc unroll ->
+             let hu = fnv_int hg unroll in
+             fold (fun acc double_buffer ->
+                 if shard_of ~shards hu double_buffer = shard then
+                   { Space.grain; unroll; double_buffer } :: acc
+                 else acc)
+               double_buffers acc)
+           unrolls acc)
+       grains []
 
 (* ------------------------------------------------------------------ *)
 (* Protocol: one JSON object per line.  Floats serialize through

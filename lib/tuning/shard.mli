@@ -35,6 +35,12 @@ val mine : shard:int -> shards:int -> Space.point list -> Space.point list
     sub-lists partition the input exactly.
     @raise Invalid_argument when [shard] is outside [0 .. shards-1]. *)
 
+val enumerate : shard:int -> shards:int -> Space.axes -> Space.point list
+(** [mine] of the space's enumeration, without building the points the
+    shard does not own: a worker's share of a 10^6-point space costs
+    one hash per point, not the whole list.
+    @raise Invalid_argument when [shard] is outside [0 .. shards-1]. *)
+
 (** {1 Protocol}
 
     One JSON object per line.  Floats serialize with the shortest exact

@@ -1,12 +1,20 @@
 type point = { grain : int; unroll : int; double_buffer : bool }
 
+type axes = { grains : int list; unrolls : int list; double_buffers : bool list }
+
+let fold axes f acc =
+  List.fold_left
+    (fun acc grain ->
+      List.fold_left
+        (fun acc unroll ->
+          List.fold_left
+            (fun acc double_buffer -> f acc { grain; unroll; double_buffer })
+            acc axes.double_buffers)
+        acc axes.unrolls)
+    acc axes.grains
+
 let enumerate ~grains ~unrolls ?(double_buffers = [ false ]) () =
-  List.concat_map
-    (fun grain ->
-      List.concat_map
-        (fun unroll -> List.map (fun double_buffer -> { grain; unroll; double_buffer }) double_buffers)
-        unrolls)
-    grains
+  List.rev (fold { grains; unrolls; double_buffers } (fun acc p -> p :: acc) [])
 
 let to_variant p ~active_cpes =
   { Sw_swacc.Kernel.grain = p.grain; unroll = p.unroll; active_cpes; double_buffer = p.double_buffer }

@@ -8,9 +8,16 @@
 
 type point = { grain : int; unroll : int; double_buffer : bool }
 
+type axes = { grains : int list; unrolls : int list; double_buffers : bool list }
+(** A product space by its axes, before any point is built. *)
+
+val fold : axes -> ('a -> point -> 'a) -> 'a -> 'a
+(** Folds over every combination in enumeration order (grain-major,
+    then unroll, then double buffering) without building the list. *)
+
 val enumerate :
   grains:int list -> unrolls:int list -> ?double_buffers:bool list -> unit -> point list
-(** All combinations, in deterministic order.  [double_buffers] defaults
+(** All combinations, in {!fold}'s order.  [double_buffers] defaults
     to [\[false\]]. *)
 
 val to_variant : point -> active_cpes:int -> Sw_swacc.Kernel.variant

@@ -176,7 +176,7 @@ val tune_sharded :
   ?hang_timeout_s:float ->
   Sw_sim.Config.t ->
   Sw_swacc.Kernel.t ->
-  points:Space.point list ->
+  axes:Space.axes ->
   (outcome, [ `No_feasible_point of string | `Worker_failure of string ]) result
 (** Fan one search out across [workers] processes.  [argv ~shard
     ~journal] names the command line for one worker (a [swmodel
@@ -193,7 +193,8 @@ val tune_sharded :
     truncated tails dropped, a verdict beats a cut-off bound and the
     first-written verdict wins; a key left with only a bound counts as
     pruned) and folds the
-    argmin over [points] in global enumeration order with the same
+    argmin over [axes] in global enumeration order ({!Space.fold}; no
+    process builds the whole space as a list) with the same
     strict [<] tie-break as {!tune}, so the sharded pick is the
     single-process pick whenever each worker's search finds its shard's
     minimum (shortlist/adaptive/halving with the rank backend equal to

@@ -68,6 +68,33 @@ let prop_assign_reference =
             (oneof [ int_range 1 64; int_range 1 max_int ])))
     (fun (point, shards) -> Shard.assign ~shards point = reference_assign ~shards point)
 
+(* A worker builds only its share, hashing along the axes: the same
+   points in the same order as filtering the whole enumeration, for any
+   axes (duplicates included) and any shard count. *)
+let prop_enumerate_is_mine =
+  QCheck.Test.make ~count:300 ~name:"enumerate = mine of the enumeration"
+    QCheck.(
+      make
+        ~print:(fun ((g, u, db), shards) ->
+          Printf.sprintf "grains=%s unrolls=%s dbs=%d shards=%d"
+            (String.concat "," (List.map string_of_int g))
+            (String.concat "," (List.map string_of_int u))
+            (List.length db) shards)
+        Gen.(
+          pair
+            (triple
+               (list_size (int_range 0 12) (int_range 1 5000))
+               (list_size (int_range 0 8) (int_range 1 200))
+               (oneofl [ []; [ false ]; [ true ]; [ false; true ] ]))
+            (int_range 1 8)))
+    (fun ((grains, unrolls, double_buffers), shards) ->
+      let points = Space.enumerate ~grains ~unrolls ~double_buffers () in
+      List.for_all
+        (fun shard ->
+          Shard.enumerate ~shard ~shards { Space.grains; unrolls; double_buffers }
+          = Shard.mine ~shard ~shards points)
+        (List.init shards Fun.id))
+
 let test_mine_partitions () =
   let points =
     Space.enumerate ~grains:(Space.range 1 50) ~unrolls:(Space.range 1 8)
@@ -447,6 +474,40 @@ let test_sharded_outcome_fields strategy () =
     (sharded.Tuner.evaluated + sharded.Tuner.points_pruned);
   Alcotest.(check bool) "same argmin" true (local.Tuner.best = sharded.Tuner.best)
 
+(* The coordinator walks only the grains its merged journals touch.
+   Resuming a checkpoint written over a wider space (entries outside the
+   new one) with a duplicated grain still counts every point of the new
+   space exactly as an in-process tune does. *)
+let test_sharded_counts_from_journals () =
+  Unix.putenv "SWPM_WORKER_EXE" Sys.executable_name;
+  let module H = Sw_serve.Handler in
+  let ckpt = Filename.temp_file "swpm-shard-walk" ".journal" in
+  let req grains =
+    {
+      (H.tune_defaults ~kernel:"kmeans") with
+      H.t_backend = "model";
+      t_grains = Some grains;
+      t_scale = 0.25;
+      t_seed = Some 3;
+    }
+  in
+  let outcome t =
+    match H.tune (H.create ()) t with
+    | Ok r -> r.H.tr_outcome
+    | Error msg -> Alcotest.failf "%s" msg
+  in
+  ignore (outcome { (req "8,64,512,1024,2048") with H.t_workers = 2; t_checkpoint = Some ckpt });
+  let local = outcome (req "64,8,64")
+  and sharded = outcome { (req "64,8,64") with H.t_workers = 2; t_checkpoint = Some ckpt } in
+  List.iter
+    (fun p -> try Sys.remove p with Sys_error _ -> ())
+    [ ckpt; ckpt ^ ".shard0of2"; ckpt ^ ".shard1of2" ];
+  Alcotest.(check bool) "resumed from the journals" true (sharded.Tuner.journal_hits > 0);
+  Alcotest.(check int) "evaluated" local.Tuner.evaluated sharded.Tuner.evaluated;
+  Alcotest.(check int) "infeasible" local.Tuner.infeasible sharded.Tuner.infeasible;
+  Alcotest.(check int) "pruned" local.Tuner.points_pruned sharded.Tuner.points_pruned;
+  Alcotest.(check bool) "same argmin" true (local.Tuner.best = sharded.Tuner.best)
+
 (* The worker-stats codec: what a worker sends round-trips exactly
    (floats bit-exact through the protocol line), and a [Done] line that
    carries only some keys reads the rest as 0. *)
@@ -542,4 +603,7 @@ let tests =
       Alcotest.test_case "sharded adaptive argmin matches in-process" `Quick
         test_sharded_adaptive_argmin;
       Alcotest.test_case "merge combines cut-off lines" `Quick test_merge_combines_cutoffs;
+      QCheck_alcotest.to_alcotest prop_enumerate_is_mine;
+      Alcotest.test_case "sharded counts walk only journaled grains" `Quick
+        test_sharded_counts_from_journals;
     ] )

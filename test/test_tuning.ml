@@ -18,6 +18,25 @@ let test_enumerate_deterministic () =
   let b = Space.enumerate ~grains:[ 2; 1 ] ~unrolls:[ 1; 4 ] () in
   Alcotest.(check bool) "same order" true (a = b)
 
+(* The argmin's tie-break is the earliest point in this order, so fold
+   and the list must both be grain-major, then unroll, then db. *)
+let test_enumerate_grain_major () =
+  let axes = { Space.grains = [ 2; 1 ]; unrolls = [ 1; 4 ]; double_buffers = [ false; true ] } in
+  let key (p : Space.point) = (p.Space.grain, p.Space.unroll, p.Space.double_buffer) in
+  let expected =
+    [
+      (2, 1, false); (2, 1, true); (2, 4, false); (2, 4, true);
+      (1, 1, false); (1, 1, true); (1, 4, false); (1, 4, true);
+    ]
+  in
+  Alcotest.(check (list (triple int int bool)))
+    "list" expected
+    (List.map key (Space.enumerate ~grains:axes.grains ~unrolls:axes.unrolls
+       ~double_buffers:axes.double_buffers ()));
+  Alcotest.(check (list (triple int int bool)))
+    "fold" expected
+    (List.rev (Space.fold axes (fun acc p -> key p :: acc) []))
+
 let test_to_variant () =
   let v = Space.to_variant { Space.grain = 8; unroll = 2; double_buffer = true } ~active_cpes:32 in
   Alcotest.(check int) "grain" 8 v.Sw_swacc.Kernel.grain;
@@ -115,4 +134,5 @@ let tests =
       Alcotest.test_case "no feasible point typed error" `Quick test_no_feasible_point_typed_error;
       Alcotest.test_case "best beats default" `Quick test_best_beats_default;
       Alcotest.test_case "pp outcome" `Quick test_pp_outcome;
+      Alcotest.test_case "enumeration is grain-major" `Quick test_enumerate_grain_major;
     ] )
