@@ -8,23 +8,51 @@
    Parallel speedup:  dune exec bench/main.exe -- parallel
    Machine-readable:  dune exec bench/main.exe -- table2 parallel --json BENCH_tuning.json *)
 
+module J = Sw_obs.Json
+module Tuner = Sw_tuning.Tuner
+module Registry = Sw_workloads.Registry
+
 let section title = Printf.printf "\n===== %s =====\n\n%!" title
 
+let params = Sw_arch.Params.default
+
+let config = Sw_sim.Config.default params
+
 (* ------------------------------------------------------------------ *)
-(* Machine-readable output: sections append JSON fragments here and
-   --json <path> dumps them as one object (see BENCH_tuning.json). *)
+(* Machine-readable output: sections add one JSON value per key and
+   --json <path> writes them as one object. *)
 
-let json_fragments : (string * string) list ref = ref []
+let json_fields : (string * J.t) list ref = ref []
 
-let add_json key fragment = json_fragments := !json_fragments @ [ (key, fragment) ]
+let add_json key v = json_fields := !json_fields @ [ (key, v) ]
 
-let json_obj fields =
-  "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields) ^ "}"
+let write_json path =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (J.to_string (J.Obj (("generated_by", J.Str "bench/main.exe") :: !json_fields)));
+      output_char oc '\n');
+  Printf.printf "\nwrote %s\n%!" path
 
-let json_list items = "[" ^ String.concat ", " items ^ "]"
+(* A tune outcome as the bench records it: the section's own fields,
+   then every field of [Tuner.outcome_to_json]. *)
+let outcome_json fields o =
+  match Tuner.outcome_to_json o with J.Obj outcome -> J.Obj (fields @ outcome) | j -> j
 
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f else Printf.sprintf "%S" (Float.to_string f)
+(* Gates: a failed gate prints why and fails the run, which still runs
+   the remaining sections and writes --json before it exits 1. *)
+let failed_gates = ref 0
+
+let gate ok fmt =
+  Printf.ksprintf
+    (fun msg ->
+      if not ok then begin
+        Printf.printf "GATE FAILED: %s\n%!" msg;
+        incr failed_gates
+      end)
+    fmt
+
+(* Raised after a failed gate the rest of its section cannot run without. *)
+exception Abort
 
 (* [f ()] and its host wall seconds *)
 let time f =
@@ -32,15 +60,15 @@ let time f =
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
 
-let write_json path =
-  let oc = open_out path in
-  let fields =
-    (("generated_by", "\"bench/main.exe\"") :: !json_fragments)
-  in
-  output_string oc (json_obj fields);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" path
+let points_of (entry : Registry.entry) =
+  Sw_tuning.Space.enumerate ~grains:entry.grains ~unrolls:entry.unrolls ()
+
+let pp_best (o : Tuner.outcome) =
+  Printf.sprintf "best grain=%d unroll=%d db=%b (%.0f cycles)" o.best.grain o.best.unroll
+    o.best.double_buffer o.best_cycles
+
+let same_best (a : Tuner.outcome) (b : Tuner.outcome) =
+  a.best = b.best && a.best_cycles = b.best_cycles
 
 (* ------------------------------------------------------------------ *)
 (* Paper experiment reproductions                                      *)
@@ -51,7 +79,7 @@ let pool = lazy (Sw_util.Pool.create ())
 
 let table1 () =
   section "Table I: model parameters";
-  Format.printf "%a@." Sw_arch.Params.pp Sw_arch.Params.default
+  Format.printf "%a@." Sw_arch.Params.pp params
 
 let fig6 () =
   section "Fig 6: model accuracy across the benchmark suite";
@@ -93,22 +121,17 @@ let table2 () =
     "paper: 1.67x-3.77x speedups, 26x-43x tuning-time savings, <6%% quality loss, same pick on \
      3/5 kernels\n";
   add_json "table2"
-    (json_list
+    (J.Arr
        (List.map
           (fun (r : Sw_experiments.Table2.row) ->
-            json_obj
+            J.Obj
               [
-                ("kernel", Printf.sprintf "%S" r.Sw_experiments.Table2.name);
-                ("static_speedup", json_float r.static.Sw_tuning.Tuner.speedup);
-                ("empirical_speedup", json_float r.empirical.Sw_tuning.Tuner.speedup);
-                ("static_host_s", json_float r.static.Sw_tuning.Tuner.tuning_host_s);
-                ("empirical_host_s", json_float r.empirical.Sw_tuning.Tuner.tuning_host_s);
-                ("static_cpu_s", json_float r.static.Sw_tuning.Tuner.tuning_cpu_s);
-                ("empirical_cpu_s", json_float r.empirical.Sw_tuning.Tuner.tuning_cpu_s);
-                ("machine_time_us", json_float r.empirical.Sw_tuning.Tuner.machine_time_us);
-                ("savings", json_float r.savings);
-                ("quality_loss", json_float r.quality_loss);
-                ("same_pick", string_of_bool r.same_pick);
+                ("kernel", J.Str r.name);
+                ("savings", J.Float r.savings);
+                ("quality_loss", J.Float r.quality_loss);
+                ("same_pick", J.Bool r.same_pick);
+                ("static", Tuner.outcome_to_json r.static);
+                ("empirical", Tuner.outcome_to_json r.empirical);
               ])
           rows))
 
@@ -129,15 +152,9 @@ let parallel () =
   section
     (Printf.sprintf "Parallel tuning: Table II empirical search, 1 vs %d domain(s)" domains);
   let pool = Sw_util.Pool.create ~size:domains () in
-  let params = Sw_arch.Params.default in
-  let config = Sw_sim.Config.default params in
-  let search ?pool entry =
-    let kernel = entry.Sw_workloads.Registry.build ~scale:1.0 in
-    let points =
-      Sw_tuning.Space.enumerate ~grains:entry.Sw_workloads.Registry.grains
-        ~unrolls:entry.Sw_workloads.Registry.unrolls ()
-    in
-    Sw_tuning.Tuner.tune_exn ~backend:Sw_backend.Backend.simulator ?pool config kernel ~points
+  let search ?pool (entry : Registry.entry) =
+    Tuner.tune_exn ~backend:Sw_backend.Backend.simulator ?pool config
+      (entry.build ~scale:1.0) ~points:(points_of entry)
   in
   let t =
     Sw_util.Table.create ~title:"empirical-tuner search: wall-clock per workload"
@@ -153,32 +170,38 @@ let parallel () =
   let total_seq = ref 0.0 and total_warm = ref 0.0 and total_par = ref 0.0 in
   let rows =
     List.map
-      (fun (entry : Sw_workloads.Registry.entry) ->
+      (fun (entry : Registry.entry) ->
         Sw_isa.Schedule.clear_cache ();
         let seq, seq_s = time (fun () -> search entry) in
         let _, warm_s = time (fun () -> search entry) in
         Sw_isa.Schedule.clear_cache ();
         let par, par_s = time (fun () -> search ~pool entry) in
         let identical =
-          seq.Sw_tuning.Tuner.best = par.Sw_tuning.Tuner.best
-          && seq.Sw_tuning.Tuner.best_cycles = par.Sw_tuning.Tuner.best_cycles
-          && seq.Sw_tuning.Tuner.evaluated = par.Sw_tuning.Tuner.evaluated
-          && seq.Sw_tuning.Tuner.infeasible = par.Sw_tuning.Tuner.infeasible
+          same_best seq par && seq.evaluated = par.evaluated && seq.infeasible = par.infeasible
         in
         total_seq := !total_seq +. seq_s;
         total_warm := !total_warm +. warm_s;
         total_par := !total_par +. par_s;
+        let speedup = seq_s /. Stdlib.max 1e-9 par_s in
         Sw_util.Table.add_row t
           [
             entry.name;
             Printf.sprintf "%.3fs" seq_s;
             Printf.sprintf "%.3fs" warm_s;
             Printf.sprintf "%.3fs" par_s;
-            Sw_util.Table.cell_x (seq_s /. Stdlib.max 1e-9 par_s);
+            Sw_util.Table.cell_x speedup;
             (if identical then "yes" else "NO");
           ];
-        (entry.name, seq_s, warm_s, par_s, identical))
-      Sw_workloads.Registry.tuning_subset
+        J.Obj
+          [
+            ("kernel", J.Str entry.name);
+            ("seq_s", J.Float seq_s);
+            ("warm_seq_s", J.Float warm_s);
+            ("pool_s", J.Float par_s);
+            ("speedup", J.Float speedup);
+            ("identical", J.Bool identical);
+          ])
+      Registry.tuning_subset
   in
   Sw_util.Table.print t;
   let speedup = !total_seq /. Stdlib.max 1e-9 !total_par in
@@ -189,28 +212,15 @@ let parallel () =
   if Sw_util.Pool.size pool = 1 then
     Printf.printf "(single-domain host: set SWPM_DOMAINS or run on more cores to see speedup)\n";
   add_json "parallel"
-    (json_obj
+    (J.Obj
        [
-         ("domains", string_of_int (Sw_util.Pool.size pool));
-         ("total_seq_s", json_float !total_seq);
-         ("total_warm_seq_s", json_float !total_warm);
-         ("total_pool_s", json_float !total_par);
-         ("speedup", json_float speedup);
-         ("warm_cache_speedup", json_float warm_speedup);
-         ( "workloads",
-           json_list
-             (List.map
-                (fun (name, seq_s, warm_s, par_s, identical) ->
-                  json_obj
-                    [
-                      ("kernel", Printf.sprintf "%S" name);
-                      ("seq_s", json_float seq_s);
-                      ("warm_seq_s", json_float warm_s);
-                      ("pool_s", json_float par_s);
-                      ("speedup", json_float (seq_s /. Stdlib.max 1e-9 par_s));
-                      ("identical", string_of_bool identical);
-                    ])
-                rows) );
+         ("domains", J.Int (Sw_util.Pool.size pool));
+         ("total_seq_s", J.Float !total_seq);
+         ("total_warm_seq_s", J.Float !total_warm);
+         ("total_pool_s", J.Float !total_par);
+         ("speedup", J.Float speedup);
+         ("warm_cache_speedup", J.Float warm_speedup);
+         ("workloads", J.Arr rows);
        ])
 
 (* The Table II empirical sweep under each search strategy: exhaustive
@@ -223,8 +233,6 @@ let parallel () =
 let prune () =
   section "Prune: Table II empirical sweep under each search strategy";
   let pool = Lazy.force pool in
-  let params = Sw_arch.Params.default in
-  let config = Sw_sim.Config.default params in
   let t =
     Sw_util.Table.create ~title:"empirical search: exhaustive vs pruned strategies"
       [
@@ -242,15 +250,11 @@ let prune () =
   let shortlist_same = ref true in
   let rows =
     List.concat_map
-      (fun (entry : Sw_workloads.Registry.entry) ->
-        let kernel = entry.Sw_workloads.Registry.build ~scale:1.0 in
-        let points =
-          Sw_tuning.Space.enumerate ~grains:entry.Sw_workloads.Registry.grains
-            ~unrolls:entry.Sw_workloads.Registry.unrolls ()
-        in
+      (fun (entry : Registry.entry) ->
+        let kernel = entry.build ~scale:1.0 in
+        let points = points_of entry in
         let default =
-          Sw_experiments.Table2.guideline_default params kernel
-            ~grains:entry.Sw_workloads.Registry.grains
+          Sw_experiments.Table2.guideline_default params kernel ~grains:entry.grains
         in
         let k = Stdlib.max 1 (List.length points / 4) in
         let strategies =
@@ -266,35 +270,31 @@ let prune () =
             Sw_isa.Schedule.clear_cache ();
             Sw_swacc.Lower.clear_cache ();
             let o =
-              Sw_tuning.Tuner.tune_exn ~backend:Sw_backend.Backend.simulator ~strategy ~default
-                ~pool config kernel ~points
+              Tuner.tune_exn ~backend:Sw_backend.Backend.simulator ~strategy ~default ~pool config
+                kernel ~points
             in
-            if sname = "exhaustive" then exhaustive_best := Some o.Sw_tuning.Tuner.best;
-            let same =
-              match !exhaustive_best with
-              | Some b -> b = o.Sw_tuning.Tuner.best
-              | None -> true
-            in
+            if sname = "exhaustive" then exhaustive_best := Some o.best;
+            let same = match !exhaustive_best with Some b -> b = o.best | None -> true in
             if sname = "shortlist" && not same then shortlist_same := false;
             let host_s, us = Option.value (Hashtbl.find_opt totals sname) ~default:(0.0, 0.0) in
-            Hashtbl.replace totals sname
-              (host_s +. o.Sw_tuning.Tuner.tuning_host_s, us +. o.Sw_tuning.Tuner.machine_time_us);
-            let best = o.Sw_tuning.Tuner.best in
+            Hashtbl.replace totals sname (host_s +. o.tuning_host_s, us +. o.machine_time_us);
             Sw_util.Table.add_row t
               [
                 entry.name;
                 sname;
-                Printf.sprintf "%.3fs" o.Sw_tuning.Tuner.tuning_host_s;
-                Printf.sprintf "%.0f" o.Sw_tuning.Tuner.machine_time_us;
-                string_of_int o.Sw_tuning.Tuner.evaluated;
-                string_of_int o.Sw_tuning.Tuner.points_pruned;
-                Printf.sprintf "g%d u%d%s" best.Sw_swacc.Kernel.grain best.Sw_swacc.Kernel.unroll
-                  (if best.Sw_swacc.Kernel.double_buffer then " db" else "");
+                Printf.sprintf "%.3fs" o.tuning_host_s;
+                Printf.sprintf "%.0f" o.machine_time_us;
+                string_of_int o.evaluated;
+                string_of_int o.points_pruned;
+                Printf.sprintf "g%d u%d%s" o.best.grain o.best.unroll
+                  (if o.best.double_buffer then " db" else "");
                 (if same then "yes" else "NO");
               ];
-            (entry.name, sname, o, same))
+            outcome_json
+              [ ("kernel", J.Str entry.name); ("same_pick_as_exhaustive", J.Bool same) ]
+              o)
           strategies)
-      Sw_workloads.Registry.tuning_subset
+      Registry.tuning_subset
   in
   Sw_util.Table.print t;
   let total name = Option.value (Hashtbl.find_opt totals name) ~default:(0.0, 0.0) in
@@ -306,43 +306,22 @@ let prune () =
     "total: exhaustive %.3fs host / %.0f us machine; shortlist %.3fs / %.0f us (%.1fx less \
      machine time); halving %.3fs / %.0f us (%.1fx)\n"
     ex_host ex_us sl_host sl_us (reduction sl_us) ha_host ha_us (reduction ha_us);
-  let shortlist_3x = reduction sl_us >= 3.0 in
-  if not !shortlist_same then
-    Printf.printf "GATE FAILED: shortlist changed the argmin on some kernel\n";
-  if not shortlist_3x then
-    Printf.printf "GATE FAILED: shortlist machine-time reduction %.2fx < 3x\n" (reduction sl_us);
+  gate !shortlist_same "shortlist changed the argmin on some kernel";
+  gate (reduction sl_us >= 3.0) "shortlist machine-time reduction %.2fx < 3x" (reduction sl_us);
   add_json "prune"
-    (json_obj
+    (J.Obj
        [
-         ("exhaustive_host_s", json_float ex_host);
-         ("exhaustive_machine_us", json_float ex_us);
-         ("shortlist_host_s", json_float sl_host);
-         ("shortlist_machine_us", json_float sl_us);
-         ("shortlist_machine_reduction", json_float (reduction sl_us));
-         ("halving_host_s", json_float ha_host);
-         ("halving_machine_us", json_float ha_us);
-         ("halving_machine_reduction", json_float (reduction ha_us));
-         ("shortlist_same_pick", string_of_bool !shortlist_same);
-         ( "rows",
-           json_list
-             (List.map
-                (fun (kernel, sname, (o : Sw_tuning.Tuner.outcome), same) ->
-                  json_obj
-                    [
-                      ("kernel", Printf.sprintf "%S" kernel);
-                      ("strategy", Printf.sprintf "%S" sname);
-                      ("host_s", json_float o.Sw_tuning.Tuner.tuning_host_s);
-                      ("machine_us", json_float o.Sw_tuning.Tuner.machine_time_us);
-                      ("evaluated", string_of_int o.Sw_tuning.Tuner.evaluated);
-                      ("infeasible", string_of_int o.Sw_tuning.Tuner.infeasible);
-                      ("pruned", string_of_int o.Sw_tuning.Tuner.points_pruned);
-                      ("best_cycles", json_float o.Sw_tuning.Tuner.best_cycles);
-                      ("speedup", json_float o.Sw_tuning.Tuner.speedup);
-                      ("same_pick_as_exhaustive", string_of_bool same);
-                    ])
-                rows) );
-       ]);
-  if not (!shortlist_same && shortlist_3x) then exit 1
+         ("exhaustive_host_s", J.Float ex_host);
+         ("exhaustive_machine_us", J.Float ex_us);
+         ("shortlist_host_s", J.Float sl_host);
+         ("shortlist_machine_us", J.Float sl_us);
+         ("shortlist_machine_reduction", J.Float (reduction sl_us));
+         ("halving_host_s", J.Float ha_host);
+         ("halving_machine_us", J.Float ha_us);
+         ("halving_machine_reduction", J.Float (reduction ha_us));
+         ("shortlist_same_pick", J.Bool !shortlist_same);
+         ("rows", J.Arr rows);
+       ])
 
 (* The Table II search priced by every registered cost backend, with
    per-backend tuning-cost accounting (host seconds and simulated
@@ -352,24 +331,16 @@ let backends () =
   let rows = Sw_experiments.Backend_matrix.run ~pool:(Lazy.force pool) () in
   Sw_experiments.Backend_matrix.print rows;
   add_json "backends"
-    (json_list
+    (J.Arr
        (List.map
           (fun (r : Sw_experiments.Backend_matrix.row) ->
-            let o = r.Sw_experiments.Backend_matrix.outcome in
-            json_obj
+            outcome_json
               [
-                ("kernel", Printf.sprintf "%S" r.Sw_experiments.Backend_matrix.kernel);
-                ("backend", Printf.sprintf "%S" o.Sw_tuning.Tuner.backend);
-                ("speedup", json_float o.Sw_tuning.Tuner.speedup);
-                ("best_cycles", json_float o.Sw_tuning.Tuner.best_cycles);
-                ("tuning_host_s", json_float o.Sw_tuning.Tuner.tuning_host_s);
-                ("tuning_cpu_s", json_float o.Sw_tuning.Tuner.tuning_cpu_s);
-                ("machine_time_us", json_float o.Sw_tuning.Tuner.machine_time_us);
-                ("evaluated", string_of_int o.Sw_tuning.Tuner.evaluated);
-                ("infeasible", string_of_int o.Sw_tuning.Tuner.infeasible);
-                ("quality_loss_vs_sim", json_float r.Sw_experiments.Backend_matrix.quality_loss_vs_sim);
-                ("same_pick_as_sim", string_of_bool r.Sw_experiments.Backend_matrix.same_pick_as_sim);
-              ])
+                ("kernel", J.Str r.kernel);
+                ("quality_loss_vs_sim", J.Float r.quality_loss_vs_sim);
+                ("same_pick_as_sim", J.Bool r.same_pick_as_sim);
+              ]
+              r.outcome)
           rows))
 
 (* Argmin survival under deterministic fault plans: nominal pick vs the
@@ -386,37 +357,39 @@ let robust () =
   let rows = Sw_experiments.Robustness_study.run ~pool:(Lazy.force pool) ~seeds () in
   Sw_experiments.Robustness_study.print rows;
   let mean_survival =
-    List.fold_left (fun acc r -> acc +. r.Sw_experiments.Robustness_study.survival) 0.0 rows
+    List.fold_left (fun acc (r : Sw_experiments.Robustness_study.row) -> acc +. r.survival) 0.0 rows
     /. float_of_int (Stdlib.max 1 (List.length rows))
   in
   let gain_ok =
-    List.for_all (fun r -> r.Sw_experiments.Robustness_study.worst_case_gain >= 1.0 -. 1e-9) rows
+    List.for_all
+      (fun (r : Sw_experiments.Robustness_study.row) -> r.worst_case_gain >= 1.0 -. 1e-9)
+      rows
   in
   Printf.printf "mean argmin survival %.0f%%; robust pick never worse in the worst case: %b\n"
     (100.0 *. mean_survival) gain_ok;
+  gate gain_ok "the robust pick is worse than the nominal pick in the worst case";
   add_json "robust"
-    (json_obj
+    (J.Obj
        [
-         ("seeds", string_of_int seeds);
-         ("mean_survival", json_float mean_survival);
-         ("robust_never_worse", string_of_bool gain_ok);
+         ("seeds", J.Int seeds);
+         ("mean_survival", J.Float mean_survival);
+         ("robust_never_worse", J.Bool gain_ok);
          ( "kernels",
-           json_list
+           J.Arr
              (List.map
                 (fun (r : Sw_experiments.Robustness_study.row) ->
-                  json_obj
+                  J.Obj
                     [
-                      ("kernel", Printf.sprintf "%S" r.name);
-                      ("points", string_of_int r.points);
-                      ("survival", json_float r.survival);
-                      ("same_pick", string_of_bool r.same_pick);
-                      ("nominal_worst", json_float r.nominal_worst);
-                      ("robust_worst", json_float r.robust_worst);
-                      ("worst_case_gain", json_float r.worst_case_gain);
+                      ("kernel", J.Str r.name);
+                      ("points", J.Int r.points);
+                      ("survival", J.Float r.survival);
+                      ("same_pick", J.Bool r.same_pick);
+                      ("nominal_worst", J.Float r.nominal_worst);
+                      ("robust_worst", J.Float r.robust_worst);
+                      ("worst_case_gain", J.Float r.worst_case_gain);
                     ])
                 rows) );
-       ]);
-  if not gain_ok then exit 1
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Observability: emit Chrome trace files for the Figure 4 scenarios
@@ -426,21 +399,26 @@ let robust () =
 
 let obs () =
   section "Obs: Chrome traces of the Figure 4 scenarios and a Table II search";
-  let validate path =
-    match Sw_obs.Json.validate_file path with
-    | Ok () -> true
-    | Error msg ->
-        Printf.printf "  %s: INVALID JSON (%s)\n" path msg;
-        false
-  in
   let report path sink =
     Sw_obs.Chrome.write path sink;
-    let ok = validate path in
+    let ok =
+      match J.validate_file path with
+      | Ok () -> true
+      | Error msg ->
+          Printf.printf "  %s: INVALID JSON (%s)\n" path msg;
+          false
+    in
     Printf.printf "  wrote %s (%d spans, %d counters, parses: %b)\n" path
       (Sw_obs.Sink.span_count sink)
       (List.length (Sw_obs.Sink.counters sink))
       ok;
-    (path, Sw_obs.Sink.span_count sink, ok)
+    gate ok "%s does not parse" path;
+    J.Obj
+      [
+        ("file", J.Str path);
+        ("spans", J.Int (Sw_obs.Sink.span_count sink));
+        ("parses", J.Bool ok);
+      ]
   in
   (* Figure 4: both overlap scenarios into one machine timeline file *)
   let fig4_sink = Sw_obs.Sink.create () in
@@ -449,20 +427,14 @@ let obs () =
   let fig4_file = report "TRACE_fig4.json" fig4_sink in
   (* Table II: the kmeans empirical search plus the winner's validation
      run, reconciled against the simulator's metrics *)
-  let params = Sw_arch.Params.default in
-  let config = Sw_sim.Config.default params in
-  let entry = Sw_workloads.Registry.find_exn "kmeans" in
-  let kernel = entry.Sw_workloads.Registry.build ~scale:1.0 in
-  let points =
-    Sw_tuning.Space.enumerate ~grains:entry.Sw_workloads.Registry.grains
-      ~unrolls:entry.Sw_workloads.Registry.unrolls ()
-  in
+  let entry = Registry.find_exn "kmeans" in
+  let kernel = entry.build ~scale:1.0 in
   let tune_sink = Sw_obs.Sink.create () in
   let outcome =
-    Sw_tuning.Tuner.tune_exn ~backend:Sw_backend.Backend.simulator ~obs:tune_sink config kernel
-      ~points
+    Tuner.tune_exn ~backend:Sw_backend.Backend.simulator ~obs:tune_sink config kernel
+      ~points:(points_of entry)
   in
-  let lowered = Sw_swacc.Lower.lower_exn params kernel outcome.Sw_tuning.Tuner.best in
+  let lowered = Sw_swacc.Lower.lower_exn params kernel outcome.best in
   let metrics, trace =
     Sw_obs.Probe.run_traced tune_sink ~name:"best:kmeans" config lowered.Sw_swacc.Lowered.programs
   in
@@ -475,26 +447,15 @@ let obs () =
   in
   let tune_file = report "TRACE_table2_kmeans.json" tune_sink in
   Printf.printf "  kmeans search: %d evaluated, %d infeasible, machine %.0f us, reconciled: %b\n"
-    outcome.Sw_tuning.Tuner.evaluated outcome.Sw_tuning.Tuner.infeasible
-    outcome.Sw_tuning.Tuner.machine_time_us reconciled;
-  let json_of (path, spans, ok) =
-    json_obj
-      [
-        ("file", Printf.sprintf "%S" path);
-        ("spans", string_of_int spans);
-        ("parses", string_of_bool ok);
-      ]
-  in
+    outcome.evaluated outcome.infeasible outcome.machine_time_us reconciled;
+  gate reconciled "the kmeans trace does not reconcile with the simulator's metrics";
   add_json "obs"
-    (json_obj
+    (J.Obj
        [
-         ("traces", json_list [ json_of fig4_file; json_of tune_file ]);
-         ("reconciled", string_of_bool reconciled);
-         ("tuner_evaluated", string_of_int outcome.Sw_tuning.Tuner.evaluated);
-         ("tuner_machine_us", json_float outcome.Sw_tuning.Tuner.machine_time_us);
-       ]);
-  let _, _, ok1 = fig4_file and _, _, ok2 = tune_file in
-  if not (ok1 && ok2 && reconciled) then exit 1
+         ("traces", J.Arr [ fig4_file; tune_file ]);
+         ("reconciled", J.Bool reconciled);
+         ("tuner", Tuner.outcome_to_json outcome);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Extensions beyond the paper's figures                                *)
@@ -537,16 +498,14 @@ let gflops () =
 (* The learned surrogate: held-out fit quality, DiffTune-style
    calibration recovery, and the dense-space tuning claim.
 
-   Gates (exit 1): held-out Spearman rho >= 0.85 on every tuning
-   kernel; >= 2 of 3 perturbed simulator parameters recovered within
-   10%; on a dense tuning space the adaptive surrogate-ranked search
-   returns the sim-exhaustive argmin for >= 5x less simulated machine
-   time, training bill included. *)
+   Gates: held-out Spearman rho >= 0.85 on every tuning kernel; >= 2 of
+   3 perturbed simulator parameters recovered within 10%; on a dense
+   tuning space the adaptive surrogate-ranked search returns the
+   sim-exhaustive argmin for >= 5x less simulated machine time,
+   training bill included. *)
 
 let learn_bench () =
   section "Learned surrogate: CV gates, calibration recovery, dense-space cut";
-  let params = Sw_arch.Params.default in
-  let config = Sw_sim.Config.default params in
   let pool = Lazy.force pool in
   (* --- held-out cross-validation on sim-labelled tuning spaces --- *)
   let cv_table =
@@ -556,8 +515,8 @@ let learn_bench () =
   in
   let cv_rows =
     List.map
-      (fun (entry : Sw_workloads.Registry.entry) ->
-        let kernel = entry.Sw_workloads.Registry.build ~scale:0.25 in
+      (fun (entry : Registry.entry) ->
+        let kernel = entry.build ~scale:0.25 in
         let rows =
           Sw_util.Pool.filter_map pool
             (fun pt ->
@@ -568,47 +527,41 @@ let learn_bench () =
               with
               | Ok x, Ok verdict -> Some (x, verdict.Sw_backend.Backend.cycles)
               | _ -> None)
-            (Sw_tuning.Space.enumerate ~grains:entry.Sw_workloads.Registry.grains
-               ~unrolls:entry.Sw_workloads.Registry.unrolls ())
+            (points_of entry)
         in
         let xs = Array.of_list (List.map fst rows) in
         let ys = Array.of_list (List.map snd rows) in
         let cv = Sw_learn.Regressor.cross_validate xs ys in
         Sw_util.Table.add_row cv_table
           [
-            entry.Sw_workloads.Registry.name;
-            string_of_int cv.Sw_learn.Regressor.n;
-            Printf.sprintf "%.1f%%" (100.0 *. cv.Sw_learn.Regressor.mape);
-            Printf.sprintf "%.3f" cv.Sw_learn.Regressor.rank_correlation;
+            entry.name;
+            string_of_int cv.n;
+            Printf.sprintf "%.1f%%" (100.0 *. cv.mape);
+            Printf.sprintf "%.3f" cv.rank_correlation;
           ];
-        (entry.Sw_workloads.Registry.name, cv))
-      Sw_workloads.Registry.tuning_subset
+        (entry.name, cv))
+      Registry.tuning_subset
   in
   Sw_util.Table.print cv_table;
   let min_rho =
     List.fold_left
-      (fun acc (_, cv) -> Float.min acc cv.Sw_learn.Regressor.rank_correlation)
+      (fun acc (_, (cv : Sw_learn.Regressor.cv)) -> Float.min acc cv.rank_correlation)
       1.0 cv_rows
   in
-  let rho_ok = min_rho >= 0.85 in
   Printf.printf "worst held-out Spearman rho %.3f (gate: >= 0.85)\n\n" min_rho;
   (* --- prediction throughput: a trained surrogate vs the simulator --- *)
-  let entry = Sw_workloads.Registry.find_exn "kmeans" in
-  let kernel = entry.Sw_workloads.Registry.build ~scale:1.0 in
-  let variant = entry.Sw_workloads.Registry.variant in
+  let entry = Registry.find_exn "kmeans" in
+  let kernel = entry.build ~scale:1.0 in
+  let variant = entry.variant in
   Sw_learn.Surrogate.clear_cache ();
   let surrogate = Sw_learn.Surrogate.make () in
   ignore (Sw_backend.Backend.assess surrogate config kernel variant) (* train *);
   let timed_rate n f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      f ()
-    done;
-    float_of_int n /. Float.max 1e-9 (Unix.gettimeofday () -. t0)
+    let (), dt = time (fun () -> for _ = 1 to n do f () done) in
+    float_of_int n /. Float.max 1e-9 dt
   in
   let surrogate_per_s =
-    timed_rate 200 (fun () ->
-        ignore (Sw_backend.Backend.assess surrogate config kernel variant))
+    timed_rate 200 (fun () -> ignore (Sw_backend.Backend.assess surrogate config kernel variant))
   in
   let sim_per_s =
     timed_rate 3 (fun () ->
@@ -623,12 +576,11 @@ let learn_bench () =
   Sw_experiments.Calibration_study.print calib;
   let recovered =
     List.filter
-      (fun r -> r.Sw_experiments.Calibration_study.r_error <= 0.10)
-      calib.Sw_experiments.Calibration_study.recoveries
+      (fun (r : Sw_experiments.Calibration_study.recovery) -> r.r_error <= 0.10)
+      calib.recoveries
   in
-  let calib_ok = List.length recovered >= 2 in
   Printf.printf "\n%d of %d parameters within 10%% (gate: >= 2)\n\n" (List.length recovered)
-    (List.length calib.Sw_experiments.Calibration_study.recoveries);
+    (List.length calib.recoveries);
   (* --- the dense-space claim: on the spaces a learned ranker exists
      for, exhaustive simulation pays per point while the adaptive
      search pays one twin-trained model plus a couple of rungs --- *)
@@ -650,8 +602,7 @@ let learn_bench () =
   let dense =
     List.map
       (fun name ->
-        let entry = Sw_workloads.Registry.find_exn name in
-        let kernel = entry.Sw_workloads.Registry.build ~scale:1.0 in
+        let kernel = (Registry.find_exn name).build ~scale:1.0 in
         let points = Sw_tuning.Space.enumerate ~grains:dense_grains ~unrolls:dense_unrolls () in
         let default =
           Sw_experiments.Table2.guideline_default params kernel ~grains:dense_grains
@@ -659,91 +610,76 @@ let learn_bench () =
         let tune strategy =
           Sw_isa.Schedule.clear_cache ();
           Sw_swacc.Lower.clear_cache ();
-          Sw_tuning.Tuner.tune_exn ~backend:Sw_backend.Backend.simulator ~strategy ~default
-            ~pool config kernel ~points
+          Tuner.tune_exn ~backend:Sw_backend.Backend.simulator ~strategy ~default ~pool config
+            kernel ~points
         in
         let exhaustive = tune Sw_tuning.Search.exhaustive in
         let adaptive =
           tune (Sw_tuning.Search.adaptive_shortlist ~rank:(Sw_learn.Surrogate.make ()) ~k:6 ())
         in
-        let same = adaptive.Sw_tuning.Tuner.best = exhaustive.Sw_tuning.Tuner.best in
-        let cut =
-          exhaustive.Sw_tuning.Tuner.machine_time_us
-          /. Float.max 1e-9 adaptive.Sw_tuning.Tuner.machine_time_us
-        in
+        let same = adaptive.best = exhaustive.best in
         Sw_util.Table.add_row dense_table
           [
             name;
             string_of_int (List.length points);
-            Printf.sprintf "%.0f" exhaustive.Sw_tuning.Tuner.machine_time_us;
-            Printf.sprintf "%.0f" adaptive.Sw_tuning.Tuner.machine_time_us;
-            Printf.sprintf "%.1fx" cut;
+            Printf.sprintf "%.0f" exhaustive.machine_time_us;
+            Printf.sprintf "%.0f" adaptive.machine_time_us;
+            Printf.sprintf "%.1fx"
+              (exhaustive.machine_time_us /. Float.max 1e-9 adaptive.machine_time_us);
             (if same then "yes" else "NO");
           ];
-        (name, exhaustive, adaptive, same))
+        (exhaustive.machine_time_us, adaptive.machine_time_us, same))
       [ "kmeans"; "vector-add" ]
   in
   Sw_util.Table.print dense_table;
-  let dense_same = List.for_all (fun (_, _, _, same) -> same) dense in
-  let ex_total =
-    List.fold_left
-      (fun acc (_, (e : Sw_tuning.Tuner.outcome), _, _) -> acc +. e.Sw_tuning.Tuner.machine_time_us)
-      0.0 dense
-  in
-  let ad_total =
-    List.fold_left
-      (fun acc (_, _, (a : Sw_tuning.Tuner.outcome), _) -> acc +. a.Sw_tuning.Tuner.machine_time_us)
-      0.0 dense
-  in
+  let dense_same = List.for_all (fun (_, _, same) -> same) dense in
+  let ex_total = List.fold_left (fun acc (e, _, _) -> acc +. e) 0.0 dense in
+  let ad_total = List.fold_left (fun acc (_, a, _) -> acc +. a) 0.0 dense in
   let dense_cut = ex_total /. Float.max 1e-9 ad_total in
-  let dense_ok = dense_same && dense_cut >= 5.0 in
   Printf.printf "dense-space machine-time cut %.1fx, training bill included (gate: >= 5x)\n"
     dense_cut;
-  if not rho_ok then Printf.printf "GATE FAILED: worst Spearman rho %.3f < 0.85\n" min_rho;
-  if not calib_ok then
-    Printf.printf "GATE FAILED: fewer than 2 parameters recovered within 10%%\n";
-  if not dense_same then
-    Printf.printf "GATE FAILED: adaptive surrogate changed the argmin on a dense space\n";
-  if dense_same && dense_cut < 5.0 then
-    Printf.printf "GATE FAILED: dense-space machine-time cut %.2fx < 5x\n" dense_cut;
+  let rho_ok = min_rho >= 0.85 and calib_ok = List.length recovered >= 2 in
+  gate rho_ok "worst Spearman rho %.3f < 0.85" min_rho;
+  gate calib_ok "fewer than 2 parameters recovered within 10%%";
+  gate dense_same "adaptive surrogate changed the argmin on a dense space";
+  gate ((not dense_same) || dense_cut >= 5.0) "dense-space machine-time cut %.2fx < 5x" dense_cut;
   add_json "learn"
-    (json_obj
+    (J.Obj
        [
          ( "cv",
-           json_list
+           J.Arr
              (List.map
                 (fun (name, (cv : Sw_learn.Regressor.cv)) ->
-                  json_obj
+                  J.Obj
                     [
-                      ("kernel", Printf.sprintf "%S" name);
-                      ("points", string_of_int cv.Sw_learn.Regressor.n);
-                      ("mape", json_float cv.Sw_learn.Regressor.mape);
-                      ("spearman", json_float cv.Sw_learn.Regressor.rank_correlation);
+                      ("kernel", J.Str name);
+                      ("points", J.Int cv.n);
+                      ("mape", J.Float cv.mape);
+                      ("spearman", J.Float cv.rank_correlation);
                     ])
                 cv_rows) );
-         ("min_spearman", json_float min_rho);
-         ("surrogate_per_s", json_float surrogate_per_s);
-         ("simulator_per_s", json_float sim_per_s);
+         ("min_spearman", J.Float min_rho);
+         ("surrogate_per_s", J.Float surrogate_per_s);
+         ("simulator_per_s", J.Float sim_per_s);
          ( "calibration",
-           json_list
+           J.Arr
              (List.map
                 (fun (r : Sw_experiments.Calibration_study.recovery) ->
-                  json_obj
+                  J.Obj
                     [
-                      ("name", Printf.sprintf "%S" r.Sw_experiments.Calibration_study.r_name);
-                      ("truth", json_float r.Sw_experiments.Calibration_study.r_truth);
-                      ("fitted", json_float r.Sw_experiments.Calibration_study.r_fitted);
-                      ("error", json_float r.Sw_experiments.Calibration_study.r_error);
+                      ("name", J.Str r.r_name);
+                      ("truth", J.Float r.r_truth);
+                      ("fitted", J.Float r.r_fitted);
+                      ("error", J.Float r.r_error);
                     ])
-                calib.Sw_experiments.Calibration_study.recoveries) );
-         ("calibration_recovered", string_of_int (List.length recovered));
-         ("dense_exhaustive_machine_us", json_float ex_total);
-         ("dense_adaptive_machine_us", json_float ad_total);
-         ("dense_machine_reduction", json_float dense_cut);
-         ("dense_same_pick", string_of_bool dense_same);
-         ("gates_ok", string_of_bool (rho_ok && calib_ok && dense_ok));
-       ]);
-  if not (rho_ok && calib_ok && dense_ok) then exit 1
+                calib.recoveries) );
+         ("calibration_recovered", J.Int (List.length recovered));
+         ("dense_exhaustive_machine_us", J.Float ex_total);
+         ("dense_adaptive_machine_us", J.Float ad_total);
+         ("dense_machine_reduction", J.Float dense_cut);
+         ("dense_same_pick", J.Bool dense_same);
+         ("gates_ok", J.Bool (rho_ok && calib_ok && dense_same && dense_cut >= 5.0));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks: the cost centers behind Table II          *)
@@ -751,11 +687,9 @@ let learn_bench () =
 let microbench () =
   section "Microbenchmarks (bechamel): variant-assessment cost centers";
   let open Bechamel in
-  let params = Sw_arch.Params.default in
-  let config = Sw_sim.Config.default params in
-  let entry = Sw_workloads.Registry.find_exn "kmeans" in
-  let kernel = entry.Sw_workloads.Registry.build ~scale:1.0 in
-  let variant = entry.Sw_workloads.Registry.variant in
+  let entry = Registry.find_exn "kmeans" in
+  let kernel = entry.build ~scale:1.0 in
+  let variant = entry.variant in
   let summary =
     match Sw_swacc.Lower.summarize params kernel variant with
     | Ok s -> s
@@ -807,21 +741,19 @@ let microbench () =
   in
   List.iter benchmark tests
 
+
 (* The engine-throughput gate behind the tuning-time claims: events/sec
-   and minor-heap words/event on the Table II workloads, optimized
-   {!Sw_sim.Engine} vs the preserved reference path
-   {!Sw_sim.Engine_ref}.  Cold includes program lowering (compile
-   caches emptied first); warm is best-of-N with the caches populated —
+   and minor-heap words/event on the Table II workloads at scale 8,
+   optimized {!Sw_sim.Engine} vs the preserved reference path
+   {!Sw_oracle.Engine_ref}.  Cold includes program lowering (compile
+   caches emptied first); warm is best-of-5 with the caches populated —
    the regime a tuning sweep or robustness study actually lives in.
-   Gates (exit 1): aggregate warm speedup >= 5x, and under one
-   minor-heap word per event on warm runs (the reference path spends
-   ~30+ on heap entries, boxed events and per-request records). *)
+   Gates: aggregate warm speedup >= 5x, and under one minor-heap word
+   per event on warm runs (the reference path spends ~30+ on heap
+   entries, boxed events and per-request records). *)
 let engine () =
   section "Engine: event throughput vs the reference engine";
-  let params = Sw_arch.Params.default in
-  let config = Sw_sim.Config.default params in
-  let scale = try float_of_string (Sys.getenv "SWPM_ENGINE_SCALE") with _ -> 8.0 in
-  let reps = try int_of_string (Sys.getenv "SWPM_ENGINE_REPS") with _ -> 5 in
+  let scale = 8.0 and reps = 5 in
   let t =
     Sw_util.Table.create ~title:(Printf.sprintf "engine throughput, Table II kernels at scale %g" scale)
       [
@@ -836,59 +768,58 @@ let engine () =
       ]
   in
   let time_once f = snd (time f) in
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let dt = time_once f in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
+  let time_best f = List.fold_left Float.min infinity (List.init reps (fun _ -> time_once f)) in
   let sum_ev = ref 0 and sum_warm = ref 0.0 and sum_ref = ref 0.0 in
   let sum_words = ref 0.0 and sum_ref_words = ref 0.0 in
   let rows =
     List.map
-      (fun (entry : Sw_workloads.Registry.entry) ->
-        let kernel = entry.Sw_workloads.Registry.build ~scale in
-        let lowered =
-          Sw_swacc.Lower.lower_exn params kernel entry.Sw_workloads.Registry.variant
-        in
-        let progs = lowered.Sw_swacc.Lowered.programs in
+      (fun (entry : Registry.entry) ->
+        let kernel = entry.build ~scale in
+        let progs = (Sw_swacc.Lower.lower_exn params kernel entry.variant).programs in
         (* cold: lowering + validation included *)
         Sw_sim.Engine.clear_compile_cache ();
         Sw_isa.Schedule.clear_cache ();
         let t_cold = time_once (fun () -> Sw_sim.Engine.run config progs) in
-        let m = Sw_sim.Engine.run config progs in
-        let events = m.Sw_sim.Metrics.events in
+        let events = (Sw_sim.Engine.run config progs).events in
         let t_warm = time_best (fun () -> Sw_sim.Engine.run config progs) in
-        ignore (Sw_sim.Engine_ref.run config progs);
-        let t_ref = time_best (fun () -> Sw_sim.Engine_ref.run config progs) in
+        ignore (Sw_oracle.Engine_ref.run config progs);
+        let t_ref = time_best (fun () -> Sw_oracle.Engine_ref.run config progs) in
         let words run =
           let w0 = Gc.minor_words () in
           ignore (run config progs);
           (Gc.minor_words () -. w0) /. float_of_int events
         in
         let wpe = words Sw_sim.Engine.run in
-        let ref_wpe = words Sw_sim.Engine_ref.run in
+        let ref_wpe = words Sw_oracle.Engine_ref.run in
         sum_ev := !sum_ev + events;
         sum_warm := !sum_warm +. t_warm;
         sum_ref := !sum_ref +. t_ref;
         sum_words := !sum_words +. (wpe *. float_of_int events);
         sum_ref_words := !sum_ref_words +. (ref_wpe *. float_of_int events);
-        let mevs dt = float_of_int events /. dt /. 1e6 in
+        let per_s dt = float_of_int events /. dt in
         Sw_util.Table.add_row t
           [
             entry.name;
             string_of_int events;
-            Printf.sprintf "%.2f" (mevs t_ref);
-            Printf.sprintf "%.2f" (mevs t_cold);
-            Printf.sprintf "%.2f" (mevs t_warm);
+            Printf.sprintf "%.2f" (per_s t_ref /. 1e6);
+            Printf.sprintf "%.2f" (per_s t_cold /. 1e6);
+            Printf.sprintf "%.2f" (per_s t_warm /. 1e6);
             Printf.sprintf "%.2fx" (t_ref /. t_warm);
             Printf.sprintf "%.2f" wpe;
             Printf.sprintf "%.1f" ref_wpe;
           ];
-        (entry.name, events, t_ref, t_cold, t_warm, wpe, ref_wpe))
-      Sw_workloads.Registry.tuning_subset
+        J.Obj
+          [
+            ("kernel", J.Str entry.name);
+            ("events", J.Int events);
+            ("ref_events_per_s", J.Float (per_s t_ref));
+            ("cold_events_per_s", J.Float (per_s t_cold));
+            ("warm_events_per_s", J.Float (per_s t_warm));
+            ("speedup", J.Float (t_ref /. t_warm));
+            ("words_per_event", J.Float wpe);
+            ("ref_words_per_event", J.Float ref_wpe);
+          ])
+      Registry.tuning_subset
   in
   Sw_util.Table.print t;
   let fev = float_of_int !sum_ev in
@@ -898,172 +829,119 @@ let engine () =
     "aggregate: %d events; ref %.2f Mev/s; warm %.2f Mev/s (%.2fx); %.3f words/event (ref %.1f)\n"
     !sum_ev (fev /. !sum_ref /. 1e6) (fev /. !sum_warm /. 1e6) speedup agg_wpe
     (!sum_ref_words /. fev);
-  let speed_ok = speedup >= 5.0 in
-  let alloc_ok = agg_wpe < 1.0 in
-  if not speed_ok then
-    Printf.printf "GATE FAILED: warm engine speedup %.2fx < 5x over the reference\n" speedup;
-  if not alloc_ok then
-    Printf.printf "GATE FAILED: %.3f minor words/event >= 1.0 on warm runs\n" agg_wpe;
+  gate (speedup >= 5.0) "warm engine speedup %.2fx < 5x over the reference" speedup;
+  gate (agg_wpe < 1.0) "%.3f minor words/event >= 1.0 on warm runs" agg_wpe;
   add_json "engine"
-    (json_obj
+    (J.Obj
        [
-         ("scale", json_float scale);
-         ("reps", string_of_int reps);
-         ("events", string_of_int !sum_ev);
-         ("ref_events_per_s", json_float (fev /. !sum_ref));
-         ("warm_events_per_s", json_float (fev /. !sum_warm));
-         ("speedup", json_float speedup);
-         ("words_per_event", json_float agg_wpe);
-         ("ref_words_per_event", json_float (!sum_ref_words /. fev));
-         ( "rows",
-           json_list
-             (List.map
-                (fun (kernel, events, t_ref, t_cold, t_warm, wpe, ref_wpe) ->
-                  json_obj
-                    [
-                      ("kernel", Printf.sprintf "%S" kernel);
-                      ("events", string_of_int events);
-                      ("ref_events_per_s", json_float (float_of_int events /. t_ref));
-                      ("cold_events_per_s", json_float (float_of_int events /. t_cold));
-                      ("warm_events_per_s", json_float (float_of_int events /. t_warm));
-                      ("speedup", json_float (t_ref /. t_warm));
-                      ("words_per_event", json_float wpe);
-                      ("ref_words_per_event", json_float ref_wpe);
-                    ])
-                rows) );
-       ]);
-  if not (speed_ok && alloc_ok) then exit 1
+         ("scale", J.Float scale);
+         ("reps", J.Int reps);
+         ("events", J.Int !sum_ev);
+         ("ref_events_per_s", J.Float (fev /. !sum_ref));
+         ("warm_events_per_s", J.Float (fev /. !sum_warm));
+         ("speedup", J.Float speedup);
+         ("words_per_event", J.Float agg_wpe);
+         ("ref_words_per_event", J.Float (!sum_ref_words /. fev));
+         ("rows", J.Arr rows);
+       ])
 
 (* ------------------------------------------------------------------ *)
+(* The serve daemon, driven in process: the serve and chaos sections
+   build their request lines and run their sessions here. *)
+
+(* One request line: [id], the request's own fields, then the deadline. *)
+let request_line ?deadline_ms id fields =
+  let deadline = match deadline_ms with Some d -> [ ("deadline_ms", J.Int d) ] | None -> [] in
+  J.to_string (J.Obj ((("id", J.Int id) :: fields) @ deadline))
+
+(* One server session over pipes, the server in its own domain: the
+   request lines go in as one burst, and each response line comes back
+   with its seconds since the burst began. *)
+let run_session ~config lines =
+  let req_r, req_w = Unix.pipe () in
+  let resp_r, resp_w = Unix.pipe () in
+  let state = Sw_serve.Handler.create () in
+  let server =
+    Domain.spawn (fun () ->
+        let output = Unix.out_channel_of_descr resp_w in
+        let stats = Sw_serve.Server.serve ~config state ~input:req_r ~output in
+        close_out output;
+        Unix.close req_r;
+        stats)
+  in
+  let t0 = Unix.gettimeofday () in
+  let wc = Unix.out_channel_of_descr req_w in
+  List.iter
+    (fun line ->
+      output_string wc line;
+      output_char wc '\n')
+    lines;
+  close_out wc;
+  let ic = Unix.in_channel_of_descr resp_r in
+  let responses = ref [] in
+  (try
+     while true do
+       let line = input_line ic in
+       responses := (line, Unix.gettimeofday () -. t0) :: !responses
+     done
+   with End_of_file -> ());
+  close_in ic;
+  let stats = Domain.join server in
+  (List.rev !responses, stats, Unix.gettimeofday () -. t0)
+
+let flag name j = Option.bind (J.member name j) J.to_bool = Some true
+
 (* The serve daemon under a mixed Table II workload: sustained req/s
    and tail latency through the real server loop (pipes, batching,
    shared caches), plus the two correctness gates the service makes
-   sense under.  Gates (exit 1): every response ok; every phase-1
-   response bit-identical (volatile fields stripped) to a fresh
-   one-shot handler run of the same request — the CLI code path; at
-   least one degraded tune under a forced flood, answered by the model
-   backend; p99 latency bounded; sustained throughput >= 1 req/s. *)
+   sense under.  Gates: every response ok; every phase-1 response
+   bit-identical (volatile fields stripped) to a fresh one-shot handler
+   run of the same request line — the CLI code path; at least one
+   degraded tune under a forced flood, answered by the model backend;
+   p99 latency bounded; sustained throughput >= 1 req/s. *)
 
 let serve_bench () =
   section "Serve: daemon req/s and p99 on a mixed Table II workload";
-  let module J = Sw_obs.Json in
   let module H = Sw_serve.Handler in
   let module S = Sw_serve.Server in
-  (* run one server session over pipes in its own domain, writing the
-     request lines upfront (a burst) and timestamping each response *)
-  let run_session ~config lines =
-    let req_r, req_w = Unix.pipe () in
-    let resp_r, resp_w = Unix.pipe () in
-    let state = H.create () in
-    let server =
-      Domain.spawn (fun () ->
-          let output = Unix.out_channel_of_descr resp_w in
-          let stats = S.serve ~config state ~input:req_r ~output in
-          close_out output;
-          Unix.close req_r;
-          stats)
-    in
-    let t0 = Unix.gettimeofday () in
-    let wc = Unix.out_channel_of_descr req_w in
-    List.iter
-      (fun line ->
-        output_string wc line;
-        output_char wc '\n')
-      lines;
-    close_out wc;
-    let ic = Unix.in_channel_of_descr resp_r in
-    let responses = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         responses := (line, Unix.gettimeofday () -. t0) :: !responses
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let stats = Domain.join server in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    (List.rev !responses, stats, elapsed)
-  in
-  let tune_req kernel =
-    { (H.tune_defaults ~kernel) with H.t_backend = "sim"; t_seed = Some 3 }
-  in
-  let phase1_reqs =
+  let parse line = Result.to_option (J.parse line) in
+  let answered_ok (line, _) = Option.fold ~none:false ~some:(flag "ok") (parse line) in
+  let sim3 = [ ("backend", J.Str "sim"); ("seed", J.Int 3) ] in
+  let phase1_lines =
     List.concat_map
-      (fun (entry : Sw_workloads.Registry.entry) ->
-        let kernel = entry.name in
+      (fun (entry : Registry.entry) ->
+        let kernel = ("kernel", J.Str entry.name) in
         [
-          H.Predict (H.predict_defaults ~kernel);
-          H.Predict
-            { (H.predict_defaults ~kernel) with H.p_backend = "sim"; p_seed = Some 3 };
-          H.Tune (tune_req kernel);
-          H.Timeline { (H.timeline_defaults ~kernel) with H.l_seed = Some 3 };
+          [ ("op", J.Str "predict"); kernel ];
+          (("op", J.Str "predict") :: kernel :: sim3);
+          (("op", J.Str "tune") :: kernel :: sim3);
+          [ ("op", J.Str "timeline"); kernel; ("seed", J.Int 3) ];
         ])
-      Sw_workloads.Registry.tuning_subset
+      Registry.tuning_subset
+    |> List.mapi request_line
   in
-  (* the wire format is the flat object the parser reads; build each
-     request line through the same Json builder the daemon answers in *)
-  let wire i verb =
-    let base =
-      match verb with
-      | H.Predict p ->
-          [
-            ("op", J.Str "predict");
-            ("kernel", J.Str p.H.p_kernel);
-            ("backend", J.Str p.H.p_backend);
-          ]
-          @ (match p.H.p_seed with Some s -> [ ("seed", J.Int s) ] | None -> [])
-      | H.Tune t ->
-          [
-            ("op", J.Str "tune");
-            ("kernel", J.Str t.H.t_kernel);
-            ("backend", J.Str t.H.t_backend);
-            ("strategy", J.Str t.H.t_strategy);
-          ]
-          @ (match t.H.t_seed with Some s -> [ ("seed", J.Int s) ] | None -> [])
-      | H.Timeline l ->
-          [ ("op", J.Str "timeline"); ("kernel", J.Str l.H.l_kernel) ]
-          @ (match l.H.l_seed with Some s -> [ ("seed", J.Int s) ] | None -> [])
-      | H.Ping -> [ ("op", J.Str "ping") ]
-      | H.Metrics -> [ ("op", J.Str "metrics") ]
-      | H.Shutdown -> [ ("op", J.Str "shutdown") ]
-    in
-    J.to_string (J.Obj (("id", J.Int i) :: base))
-  in
-  let phase1_lines = List.mapi wire phase1_reqs in
-  let no_shed =
-    { S.queue_capacity = 256; shed_watermark = 256; metrics_every = 0 }
-  in
+  let no_shed = { S.queue_capacity = 256; shed_watermark = 256; metrics_every = 0 } in
   let responses, stats, elapsed = run_session ~config:no_shed phase1_lines in
   let n = List.length responses in
-  let all_ok =
-    List.for_all
-      (fun (line, _) ->
-        match J.parse line with
-        | Ok j -> Option.bind (J.member "ok" j) J.to_bool = Some true
-        | Error _ -> false)
-      responses
-  in
+  let all_ok = List.for_all answered_ok responses in
   (* identity gate: each daemon result equals a fresh one-shot handler
-     run of the same request, volatile fields stripped *)
+     run of the line it answered, volatile fields stripped *)
   let identical =
-    List.for_all2
-      (fun verb (line, _) ->
-        let daemon =
-          match J.parse line with
-          | Ok j -> Option.map H.strip_volatile (J.member "result" j)
-          | Error _ -> None
-        in
-        let oneshot =
-          let state = H.create () in
-          match (H.run state { H.id = J.Null; verb; deadline_ms = None }).H.result with
-          | Ok payload -> Some (H.strip_volatile payload)
-          | Error _ -> None
-        in
-        daemon <> None && daemon = oneshot)
-      phase1_reqs responses
+    List.length responses = List.length phase1_lines
+    && List.for_all2
+         (fun line (resp, _) ->
+           let daemon =
+             Option.map H.strip_volatile (Option.bind (parse resp) (J.member "result"))
+           in
+           let oneshot =
+             match H.parse_request line with
+             | Ok req -> Result.to_option (H.run (H.create ()) req).H.result
+             | Error _ -> None
+           in
+           daemon <> None && daemon = Option.map H.strip_volatile oneshot)
+         phase1_lines responses
   in
   let latencies = Array.of_list (List.map snd responses) in
-  Array.sort compare latencies;
   let p50 = Sw_util.Stats.percentile latencies 50.0 in
   let p99 = Sw_util.Stats.percentile latencies 99.0 in
   let req_per_s = float_of_int n /. Stdlib.max 1e-9 elapsed in
@@ -1075,23 +953,17 @@ let serve_bench () =
      model-only scoring, marked degraded, rather than queue without
      bound *)
   let flood_lines =
-    List.init 10 (fun i -> wire i (H.Tune (tune_req "kmeans")))
+    List.init 10 (fun i ->
+        request_line i (("op", J.Str "tune") :: ("kernel", J.Str "kmeans") :: sim3))
   in
   let shed = { S.queue_capacity = 64; shed_watermark = 2; metrics_every = 0 } in
   let flood_responses, flood_stats, flood_elapsed = run_session ~config:shed flood_lines in
-  let flood_ok =
-    List.for_all
-      (fun (line, _) ->
-        match J.parse line with
-        | Ok j -> Option.bind (J.member "ok" j) J.to_bool = Some true
-        | Error _ -> false)
-      flood_responses
-  in
+  let flood_ok = List.for_all answered_ok flood_responses in
   let degraded_by_model =
     List.for_all
       (fun (line, _) ->
-        match J.parse line with
-        | Ok j when Option.bind (J.member "degraded" j) J.to_bool = Some true ->
+        match parse line with
+        | Some j when flag "degraded" j ->
             Option.bind (J.member "result" j) (J.member "backend") = Some (J.Str "model")
         | _ -> true)
       flood_responses
@@ -1099,50 +971,45 @@ let serve_bench () =
   Printf.printf
     "flood: %d tunes in %.3fs, %d degraded (model-only scoring), all ok: %b, shed backend \
      correct: %b\n"
-    flood_stats.S.served flood_elapsed flood_stats.S.degraded flood_ok degraded_by_model;
-  let shed_seen = flood_stats.S.degraded >= 1 in
-  let p99_ok = p99 <= 30.0 in
-  let rate_ok = req_per_s >= 1.0 in
-  if not all_ok then Printf.printf "GATE FAILED: some mixed-workload response not ok\n";
-  if not identical then
-    Printf.printf "GATE FAILED: a daemon response differs from its one-shot equivalent\n";
-  if not (flood_ok && degraded_by_model) then
-    Printf.printf "GATE FAILED: flood responses not ok or shed to a backend other than model\n";
-  if not shed_seen then Printf.printf "GATE FAILED: no degraded response under flood\n";
-  if not p99_ok then Printf.printf "GATE FAILED: p99 %.3fs > 30s\n" p99;
-  if not rate_ok then Printf.printf "GATE FAILED: %.2f req/s < 1\n" req_per_s;
+    flood_stats.served flood_elapsed flood_stats.degraded flood_ok degraded_by_model;
+  gate all_ok "some mixed-workload response not ok";
+  gate identical "a daemon response differs from its one-shot equivalent";
+  gate (flood_ok && degraded_by_model)
+    "flood responses not ok or shed to a backend other than model";
+  gate (flood_stats.degraded >= 1) "no degraded response under flood";
+  gate (p99 <= 30.0) "p99 %.3fs > 30s" p99;
+  gate (req_per_s >= 1.0) "%.2f req/s < 1" req_per_s;
   add_json "serve"
-    (Sw_obs.Json.to_string
-       (J.Obj
-          [
-            ("requests", J.Int n);
-            ("elapsed_s", J.Float elapsed);
-            ("req_per_s", J.Float req_per_s);
-            ("p50_s", J.Float p50);
-            ("p99_s", J.Float p99);
-            ("batches", J.Int stats.S.batches);
-            ("max_batch", J.Int stats.S.max_batch);
-            ("all_ok", J.Bool all_ok);
-            ("identical_to_oneshot", J.Bool identical);
-            ("flood_requests", J.Int flood_stats.S.served);
-            ("flood_degraded", J.Int flood_stats.S.degraded);
-            ("flood_elapsed_s", J.Float flood_elapsed);
-            ("flood_all_ok", J.Bool flood_ok);
-            ("shed_backend_is_model", J.Bool degraded_by_model);
-          ]));
-  if not (all_ok && identical && flood_ok && degraded_by_model && shed_seen && p99_ok && rate_ok)
-  then exit 1
+    (J.Obj
+       [
+         ("requests", J.Int n);
+         ("elapsed_s", J.Float elapsed);
+         ("req_per_s", J.Float req_per_s);
+         ("p50_s", J.Float p50);
+         ("p99_s", J.Float p99);
+         ("batches", J.Int stats.batches);
+         ("max_batch", J.Int stats.max_batch);
+         ("all_ok", J.Bool all_ok);
+         ("identical_to_oneshot", J.Bool identical);
+         ("flood_requests", J.Int flood_stats.served);
+         ("flood_degraded", J.Int flood_stats.degraded);
+         ("flood_elapsed_s", J.Float flood_elapsed);
+         ("flood_all_ok", J.Bool flood_ok);
+         ("shed_backend_is_model", J.Bool degraded_by_model);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Sharded multi-process tuning over a ~10^6-variant synthetic space.
-   Gates (exit 1): the sharded argmin equals the single-process oracle's
-   on the same space; host speedup >= 0.7 x min(workers, cores) (2.8x
-   at 4 workers on a 4-core host, ~1x on a 1-core one — the workers
-   then timeshare); and a worker SIGKILLed mid-run leaves journals a
-   rerun resumes from (journal hits >= 1) to a bit-identical argmin. *)
+   Gates: the sharded argmin equals the single-process oracle's on the
+   same space; the median of three alternating oracle/sharded timings
+   gives a host speedup >= 0.7 x min(workers, cores) (2.8x at 4 workers
+   on a 4-core host, ~1x on a 1-core one — the workers then timeshare);
+   and a worker SIGKILLed mid-run leaves journals a rerun resumes from
+   (journal hits >= 1) to a bit-identical argmin. *)
 
-(* Point shard workers at the built swmodel (exit 1 when it is
-   missing) and return an in-process tune that exits 1 on an error. *)
+(* Point shard workers at the built swmodel and return a tune through
+   the handler; a missing executable or a tune error fails its gate
+   and aborts the section. *)
 let sharded_tune () =
   let swmodel =
     Filename.concat
@@ -1150,21 +1017,21 @@ let sharded_tune () =
       (Filename.concat "bin" "swmodel.exe")
   in
   if not (Sys.file_exists swmodel) then begin
-    Printf.printf "GATE FAILED: worker executable %s not built (run dune build first)\n" swmodel;
-    exit 1
+    gate false "worker executable %s not built (run dune build first)" swmodel;
+    raise Abort
   end;
   Unix.putenv "SWPM_WORKER_EXE" swmodel;
   fun req ->
     match Sw_serve.Handler.tune (Sw_serve.Handler.create ()) req with
     | Ok tr -> tr
     | Error msg ->
-        Printf.printf "GATE FAILED: tune: %s\n" msg;
-        exit 1
+        gate false "tune: %s" msg;
+        raise Abort
 
 let shard_bench () =
   section "Shard: sharded multi-process tuning on a million-point space";
   let module H = Sw_serve.Handler in
-  let workers = 4 in
+  let workers = 4 and runs = 3 in
   let cores = Domain.recommended_domain_count () in
   let tune =
     let run = sharded_tune () in
@@ -1175,8 +1042,8 @@ let shard_bench () =
      compile-time infeasible — exactly how a real million-point space
      looks — and the feasible band sits at large grains where a model
      assessment is cheap. *)
-  let grains = "1000..4905" and unrolls = "1..128" in
-  let n_points = Sw_tuning.Space.size ~grains:(Sw_tuning.Space.range 1000 4905)
+  let n_points =
+    Sw_tuning.Space.size ~grains:(Sw_tuning.Space.range 1000 4905)
       ~unrolls:(Sw_tuning.Space.range 1 128) ~double_buffers:[ false; true ] ()
   in
   let req =
@@ -1186,31 +1053,37 @@ let shard_bench () =
       t_strategy = "shortlist";
       t_shortlist = 64;
       t_seed = Some 17;
-      t_grains = Some grains;
-      t_unrolls = Some unrolls;
+      t_grains = Some "1000..4905";
+      t_unrolls = Some "1..128";
       t_db_both = true;
     }
   in
-  Printf.printf "space: %d points; oracle (1 process) ...\n%!" n_points;
-  let oracle, oracle_s = time (fun () -> tune req) in
-  Printf.printf "oracle: %.2fs, best grain=%d unroll=%d db=%b (%.0f cycles)\n%!" oracle_s
-    oracle.Sw_tuning.Tuner.best.Sw_swacc.Kernel.grain
-    oracle.Sw_tuning.Tuner.best.Sw_swacc.Kernel.unroll
-    oracle.Sw_tuning.Tuner.best.Sw_swacc.Kernel.double_buffer oracle.Sw_tuning.Tuner.best_cycles;
-  let sharded, sharded_s = time (fun () -> tune { req with H.t_workers = workers }) in
-  Printf.printf "sharded (%d workers): %.2fs, best grain=%d unroll=%d db=%b (%.0f cycles)\n%!"
-    workers sharded_s sharded.Sw_tuning.Tuner.best.Sw_swacc.Kernel.grain
-    sharded.Sw_tuning.Tuner.best.Sw_swacc.Kernel.unroll
-    sharded.Sw_tuning.Tuner.best.Sw_swacc.Kernel.double_buffer
-    sharded.Sw_tuning.Tuner.best_cycles;
-  let speedup = oracle_s /. Stdlib.max 1e-9 sharded_s in
-  let speedup_gate = 0.7 *. float_of_int (Stdlib.min workers cores) in
-  let same_pick =
-    oracle.Sw_tuning.Tuner.best = sharded.Sw_tuning.Tuner.best
-    && oracle.Sw_tuning.Tuner.best_cycles = sharded.Sw_tuning.Tuner.best_cycles
+  Printf.printf
+    "space: %d points; %d alternating oracle (1 process) / sharded (%d workers) runs\n%!"
+    n_points runs workers;
+  let timed label req =
+    let o, s = time (fun () -> tune req) in
+    Printf.printf "%s: %.2fs, %s\n%!" label s (pp_best o);
+    (o, s)
   in
-  Printf.printf "speedup %.2fx on %d core(s) (gate >= %.2fx), same argmin: %b\n%!" speedup cores
-    speedup_gate same_pick;
+  let oracles, shardeds =
+    List.split
+      (List.init runs (fun _ ->
+           (* every oracle run starts from the cold caches the first one sees *)
+           Sw_isa.Schedule.clear_cache ();
+           Sw_swacc.Lower.clear_cache ();
+           Sw_sim.Engine.clear_compile_cache ();
+           let oracle = timed "oracle" req in
+           (oracle, timed "sharded" { req with H.t_workers = workers })))
+  in
+  let oracle = fst (List.hd oracles) and sharded = fst (List.hd shardeds) in
+  let wall_s = List.map snd in
+  let median runs = Sw_util.Stats.median (Array.of_list (wall_s runs)) in
+  let speedup = median oracles /. Stdlib.max 1e-9 (median shardeds) in
+  let speedup_gate = 0.7 *. float_of_int (Stdlib.min workers cores) in
+  let same_pick = List.for_all (fun (o, _) -> same_best oracle o) (oracles @ shardeds) in
+  Printf.printf "median speedup %.2fx on %d core(s) (gate >= %.2fx), same argmin: %b\n%!" speedup
+    cores speedup_gate same_pick;
   (* Crash resume: an exhaustive 2-worker tune over a smaller all-
      feasible slab (so journals fill steadily from the start), with
      worker 0 SIGKILLed mid-run.  The journals persist under the
@@ -1251,82 +1124,52 @@ let shard_bench () =
   Printf.printf "killed worker 0 (mid-run: %b) with %d journal lines; rerunning ...\n%!" killed
     lines_at_kill;
   let resumed = tune { kill_req with H.t_workers = 2 } in
-  let resume_identical =
-    resumed.Sw_tuning.Tuner.best = kill_oracle.Sw_tuning.Tuner.best
-    && resumed.Sw_tuning.Tuner.best_cycles = kill_oracle.Sw_tuning.Tuner.best_cycles
-  in
-  let resume_hits = resumed.Sw_tuning.Tuner.journal_hits in
-  let resume_ok = resume_identical && (lines_at_kill < 2 || resume_hits >= 1) in
-  Printf.printf "resumed: best grain=%d unroll=%d (%.0f cycles), %d journal hits, identical: %b\n%!"
-    resumed.Sw_tuning.Tuner.best.Sw_swacc.Kernel.grain
-    resumed.Sw_tuning.Tuner.best.Sw_swacc.Kernel.unroll resumed.Sw_tuning.Tuner.best_cycles
-    resume_hits resume_identical;
+  let resume_identical = same_best resumed kill_oracle in
+  let resume_hits = resumed.journal_hits in
+  Printf.printf "resumed: %s, %d journal hits, identical: %b\n%!" (pp_best resumed) resume_hits
+    resume_identical;
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
     [ ckpt; shard_journal 0; shard_journal 1 ];
-  let speedup_ok = speedup >= speedup_gate in
-  if not same_pick then
-    Printf.printf "GATE FAILED: sharded argmin differs from the single-process oracle\n";
-  if not speedup_ok then
-    Printf.printf "GATE FAILED: sharded speedup %.2fx < %.2fx on %d core(s)\n" speedup
-      speedup_gate cores;
-  if not resume_ok then
-    Printf.printf
-      "GATE FAILED: killed-worker rerun (argmin identical: %b, journal hits %d, lines at kill \
-       %d)\n"
-      resume_identical resume_hits lines_at_kill;
-  let outcome_json label (o : Sw_tuning.Tuner.outcome) host_s =
-    ( label,
-      json_obj
-        [
-          ("host_s", json_float host_s);
-          ("best_grain", string_of_int o.Sw_tuning.Tuner.best.Sw_swacc.Kernel.grain);
-          ("best_unroll", string_of_int o.Sw_tuning.Tuner.best.Sw_swacc.Kernel.unroll);
-          ( "best_double_buffer",
-            string_of_bool o.Sw_tuning.Tuner.best.Sw_swacc.Kernel.double_buffer );
-          ("best_cycles", json_float o.Sw_tuning.Tuner.best_cycles);
-          ("evaluated", string_of_int o.Sw_tuning.Tuner.evaluated);
-          ("infeasible", string_of_int o.Sw_tuning.Tuner.infeasible);
-          ("pruned", string_of_int o.Sw_tuning.Tuner.points_pruned);
-          ("journal_hits", string_of_int o.Sw_tuning.Tuner.journal_hits);
-          ("journal_misses", string_of_int o.Sw_tuning.Tuner.journal_misses);
-        ] )
-  in
+  gate same_pick "sharded argmin differs from the single-process oracle";
+  gate (speedup >= speedup_gate) "sharded median speedup %.2fx < %.2fx on %d core(s)" speedup
+    speedup_gate cores;
+  gate
+    (resume_identical && (lines_at_kill < 2 || resume_hits >= 1))
+    "killed-worker rerun (argmin identical: %b, journal hits %d, lines at kill %d)"
+    resume_identical resume_hits lines_at_kill;
+  let wall_json runs = J.Arr (List.map (fun s -> J.Float s) (wall_s runs)) in
   add_json "shard"
-    (json_obj
+    (J.Obj
        [
-         ("points", string_of_int n_points);
-         ("workers", string_of_int workers);
-         ("cores", string_of_int cores);
-         outcome_json "oracle" oracle oracle_s;
-         outcome_json "sharded" sharded sharded_s;
-         ("speedup", json_float speedup);
-         ("speedup_gate", json_float speedup_gate);
-         ("same_pick", string_of_bool same_pick);
-         ("killed_mid_run", string_of_bool killed);
-         ("journal_lines_at_kill", string_of_int lines_at_kill);
-         outcome_json "resumed" resumed 0.0;
-         ("resume_identical", string_of_bool resume_identical);
-       ]);
-  if not (same_pick && speedup_ok && resume_ok) then exit 1
+         ("points", J.Int n_points);
+         ("workers", J.Int workers);
+         ("cores", J.Int cores);
+         ("oracle", outcome_json [ ("wall_s", wall_json oracles) ] oracle);
+         ("sharded", outcome_json [ ("wall_s", wall_json shardeds) ] sharded);
+         ("speedup", J.Float speedup);
+         ("speedup_gate", J.Float speedup_gate);
+         ("same_pick", J.Bool same_pick);
+         ("killed_mid_run", J.Bool killed);
+         ("journal_lines_at_kill", J.Int lines_at_kill);
+         ("resumed", Tuner.outcome_to_json resumed);
+         ("resume_identical", J.Bool resume_identical);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: a seeded sweep of process-level fault plans (SWPM_CHAOS)
    against supervised sharded tuning, plus a deadline-admission flood
-   through the daemon.  Gates (exit 1): every chaos run terminates
-   within the wall cap (no hangs); when no shard was quarantined the
-   argmin is bit-identical to the fault-free single-process oracle;
-   a quarantined shard always surfaces as a degraded result; restarts
-   stay within the per-shard budget; every flood response is typed
-   (ok, degraded, or error = "deadline_exceeded" — no silent deadline
-   misses); and the Prometheus export carries the supervision and
-   deadline counters. *)
+   through the daemon.  Gates: every chaos run terminates within the
+   wall cap (no hangs); when no shard was quarantined the argmin is
+   bit-identical to the fault-free single-process oracle; a quarantined
+   shard always surfaces as a degraded result; restarts stay within the
+   per-shard budget; every flood response is typed (ok, degraded, or
+   error = "deadline_exceeded" — no silent deadline misses); and the
+   Prometheus export carries the supervision and deadline counters. *)
 
 let chaos_bench () =
   section "Chaos: fault-injected sharded tuning and deadline admission";
-  let module J = Sw_obs.Json in
   let module H = Sw_serve.Handler in
-  let module S = Sw_serve.Server in
   let module Chaos = Sw_fault.Fault.Chaos in
   let tune = sharded_tune () in
   (* an all-feasible slab, so shard journals fill steadily from the
@@ -1348,75 +1191,57 @@ let chaos_bench () =
   let workers = 2 and max_restarts = 2 in
   let seeds = 25 and wall_cap_s = 120.0 in
   let oracle = (tune req).H.tr_outcome in
-  Printf.printf "oracle: best grain=%d unroll=%d (%.0f cycles); sweeping %d chaos seeds ...\n%!"
-    oracle.Sw_tuning.Tuner.best.Sw_swacc.Kernel.grain
-    oracle.Sw_tuning.Tuner.best.Sw_swacc.Kernel.unroll oracle.Sw_tuning.Tuner.best_cycles seeds;
+  Printf.printf "oracle: %s; sweeping %d chaos seeds ...\n%!" (pp_best oracle) seeds;
   let identical = ref 0
   and quarantined_runs = ref 0
   and restarts_total = ref 0
   and dropped_total = ref 0
-  and max_run_s = ref 0.0
-  and sweep_ok = ref true in
+  and max_run_s = ref 0.0 in
   for seed = 0 to seeds - 1 do
     let plans = Chaos.generate ~seed ~shards:workers in
     Unix.putenv Chaos.env_var (Chaos.to_spec plans);
     let tr, elapsed =
-      time (fun () ->
-          tune
-            {
-              req with
-              H.t_workers = workers;
-              t_max_restarts = max_restarts;
-              t_hang_timeout_s = Some 1.0;
-            })
+      Fun.protect
+        ~finally:(fun () -> Unix.putenv Chaos.env_var "")
+        (fun () ->
+          time (fun () ->
+              tune
+                {
+                  req with
+                  H.t_workers = workers;
+                  t_max_restarts = max_restarts;
+                  t_hang_timeout_s = Some 1.0;
+                }))
     in
-    Unix.putenv Chaos.env_var "";
-    if elapsed > !max_run_s then max_run_s := elapsed;
+    max_run_s := Float.max !max_run_s elapsed;
     let o = tr.H.tr_outcome in
-    let quarantined = o.Sw_tuning.Tuner.quarantined in
-    restarts_total := !restarts_total + o.Sw_tuning.Tuner.restarts;
-    dropped_total := !dropped_total + o.Sw_tuning.Tuner.link_lines_dropped;
-    let same =
-      o.Sw_tuning.Tuner.best = oracle.Sw_tuning.Tuner.best
-      && o.Sw_tuning.Tuner.best_cycles = oracle.Sw_tuning.Tuner.best_cycles
-    in
+    restarts_total := !restarts_total + o.restarts;
+    dropped_total := !dropped_total + o.link_lines_dropped;
+    let same = same_best o oracle in
     Printf.printf "seed %2d  %-40s  %.2fs  restarts=%d dropped=%d %s\n%!" seed
-      (Chaos.to_spec plans) elapsed o.Sw_tuning.Tuner.restarts
-      o.Sw_tuning.Tuner.link_lines_dropped
-      (match quarantined with
+      (Chaos.to_spec plans) elapsed o.restarts o.link_lines_dropped
+      (match o.quarantined with
       | [] -> if same then "argmin identical" else "ARGMIN DIFFERS"
       | q -> Printf.sprintf "quarantined [%s]" (String.concat ";" (List.map string_of_int q)));
-    if elapsed > wall_cap_s then begin
-      Printf.printf "GATE FAILED: seed %d ran %.2fs > %.0fs wall cap\n" seed elapsed wall_cap_s;
-      sweep_ok := false
-    end;
+    gate (elapsed <= wall_cap_s) "seed %d ran %.2fs > %.0fs wall cap" seed elapsed wall_cap_s;
     let drops =
       List.exists
         (fun p -> match p.Chaos.action with Chaos.Drop_incumbents _ -> true | _ -> false)
         plans
     in
-    if drops && o.Sw_tuning.Tuner.link_lines_dropped = 0 then begin
-      Printf.printf "GATE FAILED: seed %d armed drop: but reports no dropped line\n" seed;
-      sweep_ok := false
-    end;
-    if o.Sw_tuning.Tuner.restarts > workers * max_restarts then begin
-      Printf.printf "GATE FAILED: seed %d made %d restarts > budget %d\n" seed
-        o.Sw_tuning.Tuner.restarts (workers * max_restarts);
-      sweep_ok := false
-    end;
-    match quarantined with
+    gate
+      ((not drops) || o.link_lines_dropped > 0)
+      "seed %d armed drop: but reports no dropped line" seed;
+    gate
+      (o.restarts <= workers * max_restarts)
+      "seed %d made %d restarts > budget %d" seed o.restarts (workers * max_restarts);
+    match o.quarantined with
     | [] ->
-        if same then incr identical
-        else begin
-          Printf.printf "GATE FAILED: seed %d argmin differs with no shard quarantined\n" seed;
-          sweep_ok := false
-        end
+        if same then incr identical;
+        gate same "seed %d argmin differs with no shard quarantined" seed
     | _ :: _ ->
         incr quarantined_runs;
-        if not tr.H.tr_degraded then begin
-          Printf.printf "GATE FAILED: seed %d quarantined a shard but was not degraded\n" seed;
-          sweep_ok := false
-        end
+        gate tr.H.tr_degraded "seed %d quarantined a shard but was not degraded" seed
   done;
   Printf.printf
     "sweep: %d/%d argmin-identical, %d quarantined (degraded), %d restarts, %d link lines \
@@ -1425,35 +1250,6 @@ let chaos_bench () =
   (* Deadline flood: a burst of tunes with deadlines the estimator
      cannot meet must come back as typed refusals (or degraded runs),
      never as silent latency. *)
-  let run_session ~config lines =
-    let req_r, req_w = Unix.pipe () in
-    let resp_r, resp_w = Unix.pipe () in
-    let state = H.create () in
-    let server =
-      Domain.spawn (fun () ->
-          let output = Unix.out_channel_of_descr resp_w in
-          let stats = S.serve ~config state ~input:req_r ~output in
-          close_out output;
-          Unix.close req_r;
-          stats)
-    in
-    let wc = Unix.out_channel_of_descr req_w in
-    List.iter
-      (fun line ->
-        output_string wc line;
-        output_char wc '\n')
-      lines;
-    close_out wc;
-    let ic = Unix.in_channel_of_descr resp_r in
-    let responses = In_channel.input_lines ic in
-    close_in ic;
-    let stats = Domain.join server in
-    (responses, stats)
-  in
-  let wire ?deadline_ms i fields =
-    let tail = match deadline_ms with Some d -> [ ("deadline_ms", J.Int d) ] | None -> [] in
-    J.to_string (J.Obj ((("id", J.Int i) :: fields) @ tail))
-  in
   let tune_fields =
     [
       ("op", J.Str "tune");
@@ -1465,43 +1261,35 @@ let chaos_bench () =
     ]
   in
   let flood_lines =
-    [ wire 0 [ ("op", J.Str "ping") ] ]
-    @ List.init 6 (fun i -> wire ~deadline_ms:1 (1 + i) tune_fields)
-    @ [ wire ~deadline_ms:70 7 tune_fields ]
-    @ List.init 6 (fun i -> wire ~deadline_ms:60_000 (8 + i) tune_fields)
-    @ [ wire 14 [ ("op", J.Str "metrics") ] ]
+    [ request_line 0 [ ("op", J.Str "ping") ] ]
+    @ List.init 6 (fun i -> request_line ~deadline_ms:1 (1 + i) tune_fields)
+    @ [ request_line ~deadline_ms:70 7 tune_fields ]
+    @ List.init 6 (fun i -> request_line ~deadline_ms:60_000 (8 + i) tune_fields)
+    @ [ request_line 14 [ ("op", J.Str "metrics") ] ]
   in
-  let config = { S.queue_capacity = 256; shed_watermark = 256; metrics_every = 0 } in
-  let responses, _stats = run_session ~config flood_lines in
+  let no_shed = { Sw_serve.Server.queue_capacity = 256; shed_watermark = 256; metrics_every = 0 } in
+  let timed_responses, _, _ = run_session ~config:no_shed flood_lines in
+  let responses = List.map fst timed_responses in
   let ok_n = ref 0 and refused = ref 0 and degraded = ref 0 and late = ref 0 and bad = ref 0 in
   List.iter
     (fun line ->
       match J.parse line with
       | Error _ -> incr bad
       | Ok j -> (
-          let late_mark = Option.bind (J.member "deadline_exceeded" j) J.to_bool = Some true in
-          if Option.bind (J.member "degraded" j) J.to_bool = Some true then incr degraded;
+          let late_mark = flag "deadline_exceeded" j in
+          if flag "degraded" j then incr degraded;
           match Option.bind (J.member "ok" j) J.to_bool with
           | Some true ->
               incr ok_n;
               if late_mark then incr late
-          | Some false
-            when (match J.member "error" j with
-                 | Some (J.Str "deadline_exceeded") -> true
-                 | _ -> false)
-                 && late_mark ->
+          | Some false when J.member "error" j = Some (J.Str "deadline_exceeded") && late_mark ->
               incr refused
           | _ -> incr bad))
     responses;
   let metrics_txt =
+    let text j = Option.bind (Option.bind (J.member "result" j) (J.member "text")) J.to_str in
     match List.rev responses with
-    | last :: _ -> (
-        match J.parse last with
-        | Ok j -> (
-            match Option.bind (J.member "result" j) (J.member "text") with
-            | Some (J.Str t) -> t
-            | _ -> "")
-        | Error _ -> "")
+    | last :: _ -> Option.value (Option.bind (Result.to_option (J.parse last)) text) ~default:""
     | [] -> ""
   in
   let contains hay needle =
@@ -1509,53 +1297,46 @@ let chaos_bench () =
     let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
     n > 0 && go 0
   in
-  let counter_names =
-    [
-      "serve_deadline_exceeded";
-      "serve_deadline_degraded";
-      "serve_deadline_missed";
-      "shard_restarts";
-      "shard_quarantined";
-      "link_lines_dropped";
-    ]
+  let counters_ok =
+    List.for_all (contains metrics_txt)
+      [
+        "serve_deadline_exceeded";
+        "serve_deadline_degraded";
+        "serve_deadline_missed";
+        "shard_restarts";
+        "shard_quarantined";
+        "link_lines_dropped";
+      ]
   in
-  let counters_ok = List.for_all (contains metrics_txt) counter_names in
   Printf.printf
     "flood: %d responses (%d ok, %d refused, %d degraded, %d late-marked, %d untyped), \
      counters exported: %b\n%!"
     (List.length responses) !ok_n !refused !degraded !late !bad counters_ok;
-  let flood_ok =
-    !bad = 0
-    && !refused >= 1
-    && !degraded >= 1
-    && !ok_n >= 1
-    && List.length responses = List.length flood_lines
-  in
-  if not flood_ok then
-    Printf.printf "GATE FAILED: flood left untyped or missing responses (%d untyped)\n" !bad;
-  if not counters_ok then
-    Printf.printf "GATE FAILED: Prometheus export is missing a supervision/deadline counter\n";
+  gate
+    (!bad = 0 && !refused >= 1 && !degraded >= 1 && !ok_n >= 1
+    && List.length responses = List.length flood_lines)
+    "flood left untyped or missing responses (%d untyped)" !bad;
+  gate counters_ok "Prometheus export is missing a supervision/deadline counter";
   add_json "chaos"
-    (json_obj
+    (J.Obj
        [
-         ("seeds", string_of_int seeds);
-         ("workers", string_of_int workers);
-         ("max_restarts", string_of_int max_restarts);
-         ("argmin_identical", string_of_int !identical);
-         ("quarantined_runs", string_of_int !quarantined_runs);
-         ("restarts_total", string_of_int !restarts_total);
-         ("link_lines_dropped_total", string_of_int !dropped_total);
-         ("slowest_run_s", json_float !max_run_s);
-         ("wall_cap_s", json_float wall_cap_s);
-         ("flood_responses", string_of_int (List.length responses));
-         ("flood_ok", string_of_int !ok_n);
-         ("flood_refused", string_of_int !refused);
-         ("flood_degraded", string_of_int !degraded);
-         ("flood_late_marked", string_of_int !late);
-         ("flood_untyped", string_of_int !bad);
-         ("counters_exported", string_of_bool counters_ok);
-       ]);
-  if not (!sweep_ok && flood_ok && counters_ok) then exit 1
+         ("seeds", J.Int seeds);
+         ("workers", J.Int workers);
+         ("max_restarts", J.Int max_restarts);
+         ("argmin_identical", J.Int !identical);
+         ("quarantined_runs", J.Int !quarantined_runs);
+         ("restarts_total", J.Int !restarts_total);
+         ("link_lines_dropped_total", J.Int !dropped_total);
+         ("slowest_run_s", J.Float !max_run_s);
+         ("wall_cap_s", J.Float wall_cap_s);
+         ("flood_responses", J.Int (List.length responses));
+         ("flood_ok", J.Int !ok_n);
+         ("flood_refused", J.Int !refused);
+         ("flood_degraded", J.Int !degraded);
+         ("flood_late_marked", J.Int !late);
+         ("flood_untyped", J.Int !bad);
+         ("counters_exported", J.Bool counters_ok);
+       ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -1598,17 +1379,23 @@ let () =
         exit 1
     | name :: rest -> parse rest (name :: sections, json_path)
   in
-  let sections, json_path = parse (List.tl (Array.to_list Sys.argv)) ([], None) in
-  (match sections with
-  | [] -> List.iter (fun (_, f) -> f ()) all
-  | names ->
-      List.iter
+  let names, json_path = parse (List.tl (Array.to_list Sys.argv)) ([], None) in
+  let sections =
+    if names = [] then List.map snd all
+    else
+      List.map
         (fun name ->
           match List.assoc_opt name all with
-          | Some f -> f ()
+          | Some f -> f
           | None ->
               Printf.eprintf "unknown section %S; available: %s\n" name
                 (String.concat ", " (List.map fst all));
               exit 1)
-        names);
-  match json_path with Some path -> write_json path | None -> ()
+        names
+  in
+  List.iter (fun f -> try f () with Abort -> ()) sections;
+  Option.iter write_json json_path;
+  if !failed_gates > 0 then begin
+    Printf.printf "%d gate(s) failed\n" !failed_gates;
+    exit 1
+  end

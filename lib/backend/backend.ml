@@ -507,33 +507,6 @@ let with_timeout ?sink ~limit_s (inner : t) : t =
   end in
   (module W : S)
 
-let with_retry ?sink ~attempts ?(backoff_s = 0.0) (inner : t) : t =
-  if attempts < 1 then invalid_arg "Backend.with_retry: attempts must be >= 1";
-  if not (backoff_s >= 0.0) then invalid_arg "Backend.with_retry: backoff_s must be >= 0";
-  let module I = (val inner : S) in
-  let module W = struct
-    let name = Printf.sprintf "retry(%s)" I.name
-
-    let description =
-      Printf.sprintf "%s, retried up to %d times on exceptions" I.description attempts
-
-    let assess ?cutoff ?event_budget config kernel variant =
-      let rec go attempt =
-        match I.assess ?cutoff ?event_budget config kernel variant with
-        | r -> r
-        | exception e when attempt < attempts ->
-            (match sink with
-            | Some s -> Sw_obs.Sink.incr s (Printf.sprintf "backend.retry.%s" I.name)
-            | None -> ());
-            ignore e;
-            if backoff_s > 0.0 then
-              Unix.sleepf (backoff_s *. float_of_int (1 lsl (attempt - 1)));
-            go (attempt + 1)
-      in
-      go 1
-  end in
-  (module W : S)
-
 let fallback ?sink (chain : t list) : t =
   if chain = [] then invalid_arg "Backend.fallback: empty chain";
   let names = List.map name chain in

@@ -268,7 +268,7 @@ val memo_clear : memo -> unit
     ({!Sw_sim.Engine.Event_limit}), a fault-perturbed configuration
     deadlocks, an assessment takes longer than the tuning loop can
     afford.  These combinators turn such failures into {e policy} —
-    retry it, disqualify it, degrade to a cheaper estimator — with
+    disqualify it, degrade to a cheaper estimator — with
     every decision visible as a sink counter, so a robust tuning run
     never dies mid-sweep and never hides what it did. *)
 
@@ -284,16 +284,6 @@ val with_timeout : ?sink:Sw_obs.Sink.t -> limit_s:float -> t -> t
     too late; the point is to feed {!fallback} a typed failure, not to
     bound latency hard.  With [sink], bumps
     ["backend.timeout.<name>"]. *)
-
-val with_retry : ?sink:Sw_obs.Sink.t -> attempts:int -> ?backoff_s:float -> t -> t
-(** [with_retry ~attempts b] re-runs an assessment that {e raised}
-    (any exception) up to [attempts] total tries, sleeping
-    [backoff_s * 2^(k-1)] host seconds before the [k]-th retry
-    (default [0.]: no sleep).  The last exception propagates when the
-    budget is exhausted.  Deterministic backends fail deterministically
-    — retry exists for wrappers whose failures are transient (e.g. a
-    flaky measurement harness); with [sink], each retry bumps
-    ["backend.retry.<name>"]. *)
 
 val fallback : ?sink:Sw_obs.Sink.t -> t list -> t
 (** [fallback [sim; hybrid; model]] assesses with the first backend in

@@ -1,14 +1,15 @@
 (* The optimized discrete-event core.  Observable behavior — metrics,
    spans, DMA request lifetimes, retry events, cutoff points, event
-   counts, exception messages — is bit-identical to {!Engine_ref} (the
-   preserved original) on every input; the differential tests and the
-   golden traces enforce this.  What changed is purely mechanical:
+   counts, exception messages — is bit-identical to the reference
+   engine (the preserved original, Sw_oracle.Engine_ref under test/)
+   on every input; the differential tests and the golden traces
+   enforce this.  What changed is purely mechanical:
 
    - Events live in a {!Sw_util.Calendar_queue}: an O(1) bucketed
      queue over a flat preallocated arena, with integer event codes
      [(payload lsl 2) lor kind] instead of boxed [ev] variants, and
      the same (time, global push sequence) FIFO tie-break as the old
-     {!Sw_util.Heap} — determinism survives by construction.
+     binary heap (Sw_oracle.Heap) — determinism survives by construction.
    - Programs are lowered to flat struct-of-arrays [compiled] form —
      parallel [int array]/[float array] fields walked sequentially, no
      per-item heap records to pointer-chase — with every constant the
@@ -388,7 +389,7 @@ let grant_upd st mc m =
   if start > Array.unsafe_get st.gbuf 0 then Array.unsafe_set st.gbuf 0 start
 
 (* With faults injected, a request may transiently fail admission (see
-   Engine_ref).  The PRNG is consumed under exactly the reference's
+   the reference engine).  The PRNG is consumed under exactly the reference's
    short-circuit conditions, so the same seed replays the same
    failures. *)
 let admit_fails st r =

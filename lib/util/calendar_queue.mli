@@ -1,19 +1,20 @@
 (** Indexed calendar (bucket) event queue over a flat preallocated arena.
 
-    A drop-in replacement for {!Heap} on the simulator's hot path:
+    A drop-in replacement, on the simulator's hot path, for the binary
+    heap it used to run on (kept as the test oracle Sw_oracle.Heap):
     payloads are plain integers (event codes packed by the caller), all
     bookkeeping lives in flat [int]/[float] arrays, and the steady-state
     operations — {!push_ref}, {!pop_into}, {!peek_into} — allocate
     nothing (amortized: the arena and the bucket table grow by doubling).
 
-    {b Ordering contract} — identical to {!Heap}: events are delivered
+    {b Ordering contract} — identical to that heap's: events are delivered
     in increasing time, and events with {e equal} times are delivered in
     insertion (push) order.  The queue keeps a global insertion sequence
     number per event and sorts each bucket's list by [(time, seq)];
     since equal times always map to the same bucket, the heap's
     FIFO-among-equal-keys tie-break is reproduced exactly (property:
     [test/test_calendar_queue.ml] checks pop-order equality against
-    {!Heap} on random push/pop interleavings, ties included).
+    the heap on random push/pop interleavings, ties included).
 
     Internals: an event's home bucket is [floor (time / width)] (its
     {e absolute} bucket number, stored as an [int] so the year test is

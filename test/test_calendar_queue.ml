@@ -1,10 +1,11 @@
 (* The calendar queue is the simulator's event queue; its one contract
-   is to pop in exactly {!Sw_util.Heap}'s order — (time, global push
+   is to pop in exactly {!Sw_oracle.Heap}'s order — (time, global push
    sequence) — on any interleaving of pushes and pops, timestamp ties
    included.  The qcheck properties here drive both structures through
    the same random schedules and demand identical pop streams. *)
 
 open Sw_util
+open Sw_oracle
 
 let test_empty () =
   let q = Calendar_queue.create () in

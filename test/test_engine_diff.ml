@@ -10,6 +10,7 @@
 open Sw_isa
 open Sw_arch
 open Sw_sim
+open Sw_oracle
 
 let p = Params.default
 

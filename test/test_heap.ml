@@ -1,4 +1,4 @@
-open Sw_util
+open Sw_oracle
 
 let test_empty () =
   let h = Heap.create () in

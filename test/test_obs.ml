@@ -127,6 +127,98 @@ let test_json_validator_rejects () =
       "'single'";
     ]
 
+(* The codec the bench's --json files and the shard protocol rely on:
+   any nested value with finite floats survives to_string/parse, each
+   float bit for bit and every Int/Float class kept apart. *)
+
+let rec json_bit_equal a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Json.Arr xs, Json.Arr ys ->
+      List.length xs = List.length ys && List.for_all2 json_bit_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (k', y) -> k = k' && json_bit_equal x y) xs ys
+  | (Json.Null | Json.Bool _ | Json.Int _ | Json.Str _), _ -> a = b
+  | (Json.Float _ | Json.Arr _ | Json.Obj _), _ -> false
+
+let gen_json =
+  let open QCheck.Gen in
+  let gen_char =
+    frequency
+      [
+        (4, char_range 'a' 'z');
+        (2, oneofl [ '"'; '\\'; '/'; ' '; '\x7f'; '\xc3'; '\xa9' ]);
+        (2, char_range '\000' '\031');
+      ]
+  in
+  let gen_str = string_size ~gen:gen_char (int_range 0 12) in
+  let gen_float =
+    frequency
+      [
+        ( 3,
+          map
+            (fun bits ->
+              let f = Int64.float_of_bits bits in
+              if Float.is_finite f then f else 0.5)
+            ui64 );
+        ( 2,
+          oneofl
+            [ 0.0; -0.0; 1.0; 3.0; 0.1; 1e22; 5e-324; Float.max_float; -.Float.min_float ] );
+        (2, float_range (-1e6) 1e6);
+      ]
+  in
+  let gen_int = oneof [ small_signed_int; int; oneofl [ 0; max_int; min_int ] ] in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) gen_int;
+        map (fun f -> Json.Float f) gen_float;
+        map (fun s -> Json.Str s) gen_str;
+      ]
+  in
+  sized_size (int_range 0 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun xs -> Json.Arr xs) (list_size (int_range 0 4) (self (depth - 1))));
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_range 0 4) (pair gen_str (self (depth - 1)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json: parse (to_string v) = v, floats bit-identical" ~count:1000
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v ->
+      match Json.parse (Json.to_string v) with
+      | Ok v' -> json_bit_equal v v'
+      | Error _ -> false)
+
+let test_json_non_finite_as_string () =
+  let doc =
+    Json.Obj
+      [
+        ("nan", Json.Float Float.nan);
+        ("inf", Json.Arr [ Json.Float Float.infinity; Json.Float Float.neg_infinity ]);
+      ]
+  in
+  let s = Json.to_string doc in
+  (match Json.validate s with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s does not validate: %s" s msg);
+  match Json.parse s with
+  | Ok (Json.Obj [ ("nan", Json.Str _); ("inf", Json.Arr [ Json.Str "inf"; Json.Str "-inf" ]) ])
+    ->
+      ()
+  | _ -> Alcotest.failf "non-finite floats did not serialize as strings: %s" s
+
 (* ------------------------------------------------------------------ *)
 (* Chrome export *)
 
@@ -415,4 +507,7 @@ let tests =
         test_tuner_obs_bit_identical;
       Alcotest.test_case "tuner obs counters match outcome" `Quick
         test_tuner_obs_counters_match_outcome;
+      QCheck_alcotest.to_alcotest prop_json_roundtrip;
+      Alcotest.test_case "json: non-finite floats become strings" `Quick
+        test_json_non_finite_as_string;
     ] )

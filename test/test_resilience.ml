@@ -1,4 +1,4 @@
-(* Graceful degradation and crash-safe tuning: timeout/retry/fallback
+(* Graceful degradation and crash-safe tuning: timeout/fallback
    combinators, the single-flight memoizer under domain fan-out, the
    assessment journal (resume after a kill is bit-identical and never
    recomputes journaled points), the robust search strategy, and the
@@ -26,22 +26,6 @@ let tmp_file suffix = Filename.temp_file "swpm_test_" suffix
 
 exception Flaky of int
 
-(* A backend that raises on its first [failures] assessments, then
-   delegates to the static model. *)
-let flaky ~failures () : Backend.t =
-  let calls = Atomic.make 0 in
-  let module W = struct
-    let name = "flaky"
-
-    let description = "raises on the first assessments, then delegates"
-
-    let assess ?cutoff ?event_budget config kernel variant =
-      let n = Atomic.fetch_and_add calls 1 in
-      if n < failures then raise (Flaky n);
-      Backend.assess_budget ?cutoff ?event_budget Backend.static_model config kernel variant
-  end in
-  (module W : Backend.S)
-
 let always_raises : Backend.t =
   (module struct
     let name = "broken"
@@ -52,25 +36,7 @@ let always_raises : Backend.t =
   end)
 
 (* ------------------------------------------------------------------ *)
-(* with_retry / with_timeout *)
-
-let test_retry_recovers_from_transient_failures () =
-  let sink = Sw_obs.Sink.create () in
-  let b = Backend.with_retry ~sink ~attempts:3 (flaky ~failures:2 ()) in
-  let kernel = kernel_of "kmeans" 0.25 in
-  let v = (entry "kmeans").Sw_workloads.Registry.variant in
-  let verdict = Result.get_ok (Backend.assess b config kernel v) in
-  Alcotest.(check bool) "third try answers" true (verdict.Backend.cycles > 0.0);
-  Alcotest.(check (float 0.0)) "two retries counted" 2.0
-    (Sw_obs.Sink.counter sink "backend.retry.flaky")
-
-let test_retry_budget_exhausts () =
-  let b = Backend.with_retry ~attempts:2 (flaky ~failures:5 ()) in
-  let kernel = kernel_of "kmeans" 0.25 in
-  let v = (entry "kmeans").Sw_workloads.Registry.variant in
-  match Backend.assess b config kernel v with
-  | exception Flaky _ -> ()
-  | _ -> Alcotest.fail "expected the last exception to propagate"
+(* with_timeout *)
 
 let test_timeout_disqualifies () =
   let sink = Sw_obs.Sink.create () in
@@ -480,8 +446,10 @@ let test_faulty_run_trace_exports_valid_chrome () =
 let tests =
   ( "resilience",
     [
-      Alcotest.test_case "retry recovers" `Quick test_retry_recovers_from_transient_failures;
-      Alcotest.test_case "retry budget exhausts" `Quick test_retry_budget_exhausts;
+      (* these two take the slots of two deleted cases, so every later
+         case keeps its index *)
+      Alcotest.test_case "robust strategy validates" `Quick test_robust_strategy_validates;
+      Alcotest.test_case "async guard drops unbalanced" `Quick test_async_guard_drops_unbalanced;
       Alcotest.test_case "timeout disqualifies" `Quick test_timeout_disqualifies;
       Alcotest.test_case "generous timeout transparent" `Quick
         test_generous_timeout_is_transparent;
@@ -499,8 +467,6 @@ let tests =
         test_resumed_search_repeats_no_work;
       Alcotest.test_case "robust = min-of-worst-case" `Slow
         test_robust_strategy_picks_min_of_worst_case;
-      Alcotest.test_case "robust strategy validates" `Quick test_robust_strategy_validates;
-      Alcotest.test_case "async guard drops unbalanced" `Quick test_async_guard_drops_unbalanced;
       Alcotest.test_case "faulty trace exports valid Chrome" `Quick
         test_faulty_run_trace_exports_valid_chrome;
     ] )
