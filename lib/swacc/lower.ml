@@ -119,12 +119,12 @@ let double_buffered_items kernel ~blocks ~unroll chunks =
 (* ------------------------------------------------------------------ *)
 (* Static summary for the longest-path CPE, in two halves.
 
-   The chunk walk over the whole fleet depends only on the machine
-   (transaction size), the kernel, the grain and the effective CPE
-   count: its result, the [shape], is shared by every unroll and
-   double-buffer variant of one grain.  The compute entries depend only
-   on the longest CPE's element count and the unroll, so they are
-   rebuilt per variant for the price of one division. *)
+   The DMA shape of a grain depends only on the machine (transaction
+   size), the kernel, the grain and the effective CPE count: its
+   result, the [shape], is shared by every unroll and double-buffer
+   variant of one grain.  The compute entries depend only on the
+   longest CPE's element count and the unroll, so they are rebuilt per
+   variant for the price of one division. *)
 
 type shape = {
   dma_groups : Lowered.dma_group list;
@@ -133,52 +133,76 @@ type shape = {
   longest_elems : int;  (* elements of the longest-path CPE *)
 }
 
-let walk_shape params kernel ~grain ~active =
-  let per_cpe_chunks =
-    Array.init active (fun cpe -> Kernel.chunks_of_cpe kernel ~grain ~active_cpes:active ~cpe)
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* Full chunks repeat their DMA shape every [address_period] chunks.
+   Moving a chunk's first element by [period * grain] moves each
+   per-element copy's addresses by a multiple of its address step
+   ([bytes_per_elem], or the stride), and so of [s], the gcd of the
+   steps; [period = trans_size / gcd (trans_size, grain * s)] makes that
+   move a multiple of [trans_size], which leaves every
+   [Mem_req.blocks_touched] count as it was.  Per-chunk copies never
+   move: with no per-element copy every full chunk looks alike. *)
+let address_period ~trans_size kernel ~grain =
+  let step =
+    List.fold_left
+      (fun s (c : Kernel.copy_spec) ->
+        match (c.freq, c.layout) with
+        | Kernel.Per_chunk, _ -> s
+        | Kernel.Per_element, Kernel.Contiguous -> gcd s c.bytes_per_elem
+        | Kernel.Per_element, Kernel.Strided stride -> gcd s stride)
+      0 kernel.Kernel.copies
   in
+  if step = 0 then 1 else trans_size / gcd trans_size (grain * step)
+
+(* Chunk [k] starts at element [k * grain]; CPE [k mod active] owns it.
+   Only the last chunk may be partial ([tail] elements).  The DMA
+   request groups are tallied over one address period of full chunks,
+   each residue weighted by the full chunks in its class, plus the
+   partial chunk: at most [trans_size + 1] tallies per grain however
+   fine the grain. *)
+let tally_shape params kernel ~grain ~active =
   let trans_size = params.Sw_arch.Params.trans_size in
-  (* computation follows the longest path (the CPE with the most
-     elements); DMA request shapes are tallied over the whole fleet and
-     averaged per CPE — Eq. 4's request wave is the fleet total, and
-     alignment can make some CPEs' requests heavier than others *)
-  let cpe_elems = Array.map (fun chunks -> List.fold_left (fun a (_, n) -> a + n) 0 chunks) per_cpe_chunks in
-  let longest = ref 0 in
-  Array.iteri (fun i n -> if n > cpe_elems.(!longest) then longest := i) cpe_elems;
+  let n_elements = kernel.Kernel.n_elements in
+  let nchunks = Kernel.total_chunks kernel ~grain in
+  let nfull = n_elements / grain and tail = n_elements mod grain in
   (* one logical request per copy intrinsic per chunk: group identical
      shapes; the static transaction count is alignment-aware — the
      compiler knows bases and strides, and stride layout "has to be
-     taken into special considerations" (Section III-C) *)
+     taken into special considerations" (Section III-C).  Shapes are
+     tallied over the whole fleet and averaged per CPE — Eq. 4's
+     request wave is the fleet total, and alignment can make some CPEs'
+     requests heavier than others *)
   let groups : (int * int * int, int ref) Hashtbl.t = Hashtbl.create 8 in
-  let note ~payload ~mrt ~transfers =
+  let note ~weight ((payload, _, _) as key) =
     if payload > 0 then begin
-      match Hashtbl.find_opt groups (payload, mrt, transfers) with
-      | Some r -> incr r
-      | None -> Hashtbl.add groups (payload, mrt, transfers) (ref 1)
+      match Hashtbl.find_opt groups key with
+      | Some r -> r := !r + weight
+      | None -> Hashtbl.add groups key (ref weight)
     end
   in
-  Array.iter
-    (fun chunks ->
-      List.iter
-        (fun (first, n) ->
-          let tally pred =
-            List.fold_left
-              (fun (payload, mrt, transfers) c ->
-                if pred c then begin
-                  let access = chunk_access c ~first ~n in
-                  ( payload + Mem_req.payload_bytes access,
-                    mrt + Mem_req.transactions ~trans_size access,
-                    transfers + 1 )
-                end
-                else (payload, mrt, transfers))
-              (0, 0, 0) kernel.Kernel.copies
-          in
-          let in_payload, in_mrt, in_tr = tally is_in in
-          let out_payload, out_mrt, out_tr = tally is_out in
-          note ~payload:in_payload ~mrt:in_mrt ~transfers:in_tr;
-          note ~payload:out_payload ~mrt:out_mrt ~transfers:out_tr)
-        chunks)
-    per_cpe_chunks;
+  let tally_chunk ~weight ~first ~n =
+    let tally pred =
+      List.fold_left
+        (fun (payload, mrt, transfers) c ->
+          if pred c then begin
+            let access = chunk_access c ~first ~n in
+            ( payload + Mem_req.payload_bytes access,
+              mrt + Mem_req.transactions ~trans_size access,
+              transfers + 1 )
+          end
+          else (payload, mrt, transfers))
+        (0, 0, 0) kernel.Kernel.copies
+    in
+    note ~weight (tally is_in);
+    note ~weight (tally is_out)
+  in
+  let period = address_period ~trans_size kernel ~grain in
+  for c = 0 to Stdlib.min nfull period - 1 do
+    (* full chunks c, c + period, c + 2 * period, ... below nfull *)
+    tally_chunk ~weight:(ceil_div (nfull - c) period) ~first:(c * grain) ~n:grain
+  done;
+  if tail > 0 then tally_chunk ~weight:1 ~first:(nfull * grain) ~n:tail;
   let dma_groups =
     Hashtbl.fold
       (fun (payload_bytes, mrt, transfers) count acc ->
@@ -192,34 +216,36 @@ let walk_shape params kernel ~grain ~active =
       groups []
     |> List.sort compare
   in
-  (* gloads: max over CPEs, plus per-chunk compiler spills *)
-  let spills_of chunks =
-    match kernel.Kernel.spill_gloads with
-    | None -> 0
-    | Some f -> List.fold_left (fun acc (_, n) -> acc + Stdlib.max 0 (f n)) 0 chunks
-  in
+  (* computation follows the longest path.  CPE 0 always has it: it
+     holds [ceil (nchunks / active)] chunks, the most of any CPE, and
+     when it also holds the partial last chunk every other CPE holds
+     one chunk fewer (or there is no other CPE) *)
+  let owns_tail = tail > 0 && (nchunks - 1) mod active = 0 in
+  let full0 = ceil_div nchunks active - Bool.to_int owns_tail in
+  let longest_elems = (full0 * grain) + if owns_tail then tail else 0 in
+  let spills n = match kernel.Kernel.spill_gloads with None -> 0 | Some f -> Stdlib.max 0 (f n) in
   let gload_count, gload_bytes =
     match kernel.Kernel.gloads with
     | None ->
-        ( (if kernel.Kernel.spill_gloads = None then 0 else spills_of per_cpe_chunks.(!longest)),
-          8 )
+        (* compiler spills of CPE 0's chunks *)
+        ((full0 * spills grain) + (if owns_tail then spills tail else 0), 8)
     | Some g ->
-        let per_cpe =
-          Array.map
-            (fun chunks ->
-              List.fold_left
-                (fun acc (first, n) ->
-                  let rec sum k acc =
-                    if k = n then acc else sum (k + 1) (acc + g.Kernel.count_for (first + k))
-                  in
-                  sum 0 acc)
-                0 chunks)
-            per_cpe_chunks
-        in
-        let per_cpe = Array.map2 ( + ) per_cpe (Array.map spills_of per_cpe_chunks) in
+        (* irregular per-element counts: sum them chunk by chunk, plus
+           each chunk's spills, and take the heaviest CPE *)
+        let per_cpe = Array.make active 0 in
+        for k = 0 to nchunks - 1 do
+          let first = k * grain in
+          let n = Stdlib.min grain (n_elements - first) in
+          let sum = ref (spills n) in
+          for e = first to first + n - 1 do
+            sum := !sum + g.Kernel.count_for e
+          done;
+          let cpe = k mod active in
+          per_cpe.(cpe) <- per_cpe.(cpe) + !sum
+        done;
         (Array.fold_left Stdlib.max 0 per_cpe, g.Kernel.g_bytes)
   in
-  { dma_groups; gload_count; gload_bytes; longest_elems = cpe_elems.(!longest) }
+  { dma_groups; gload_count; gload_bytes; longest_elems }
 
 let build_summary kernel shape ~blocks ~unroll ~active ~double_buffer =
   let block_u, block_r = blocks in
@@ -316,7 +342,7 @@ let compile params kernel (variant : Kernel.variant) =
       let blocks = (block_u, block_r) in
       let shape =
         Shape_memo.memo shapes (params, kernel, grain, active) (fun () ->
-            walk_shape params kernel ~grain ~active)
+            tally_shape params kernel ~grain ~active)
       in
       let summary =
         build_summary kernel shape ~blocks ~unroll:variant.unroll ~active

@@ -1,5 +1,6 @@
 open Sw_swacc
 module Program = Sw_isa.Program
+module Mem_req = Sw_arch.Mem_req
 
 let p = Sw_arch.Params.default
 
@@ -312,6 +313,228 @@ let test_unroll_axis_resident () =
       if not kept then Alcotest.failf "unroll %d: the second grain rebuilt a code block" (i + 1))
     (blocks_at 1100)
 
+(* The shape is tallied over one address period of chunks.  Its
+   reference here is a plain chunk-by-chunk tally: every chunk's
+   requests grouped one by one, every CPE's chunk list summed and the
+   longest CPE found by scanning (ties to the lowest index). *)
+let reference_access (c : Kernel.copy_spec) ~first ~n =
+  match (c.Kernel.freq, c.Kernel.layout) with
+  | Kernel.Per_chunk, _ -> Mem_req.contiguous ~addr:c.Kernel.base_addr ~bytes:c.Kernel.bytes_per_elem
+  | Kernel.Per_element, Kernel.Contiguous ->
+      Mem_req.contiguous
+        ~addr:(c.Kernel.base_addr + (first * c.Kernel.bytes_per_elem))
+        ~bytes:(n * c.Kernel.bytes_per_elem)
+  | Kernel.Per_element, Kernel.Strided stride ->
+      Mem_req.strided ~addr:(c.Kernel.base_addr + (first * stride)) ~row_bytes:c.Kernel.bytes_per_elem
+        ~stride ~rows:n
+
+(* Request shapes of a grain, counted over every chunk of the fleet:
+   ((payload, transactions, transfers), requests) *)
+let reference_requests params kernel ~grain =
+  let trans_size = params.Sw_arch.Params.trans_size in
+  let counts = Hashtbl.create 8 in
+  let request dirs ~first ~n =
+    let key =
+      List.fold_left
+        (fun ((payload, mrt, transfers) as acc) c ->
+          if List.mem c.Kernel.direction dirs then begin
+            let a = reference_access c ~first ~n in
+            (payload + Mem_req.payload_bytes a, mrt + Mem_req.transactions ~trans_size a, transfers + 1)
+          end
+          else acc)
+        (0, 0, 0) kernel.Kernel.copies
+    in
+    let _, _, transfers = key in
+    if transfers > 0 then
+      Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+  in
+  let n_elements = kernel.Kernel.n_elements in
+  for k = 0 to Kernel.total_chunks kernel ~grain - 1 do
+    let first = k * grain in
+    let n = Stdlib.min grain (n_elements - first) in
+    request [ Kernel.In; Kernel.Inout ] ~first ~n;
+    request [ Kernel.Out; Kernel.Inout ] ~first ~n
+  done;
+  List.of_seq (Hashtbl.to_seq counts)
+
+let reference_summary ?requests params kernel (v : Kernel.variant) =
+  let grain = v.Kernel.grain in
+  let active = Kernel.effective_active_cpes kernel ~grain ~requested:v.Kernel.active_cpes in
+  let chunks =
+    Array.init active (fun cpe -> Kernel.chunks_of_cpe kernel ~grain ~active_cpes:active ~cpe)
+  in
+  let requests =
+    match requests with Some r -> r | None -> reference_requests params kernel ~grain
+  in
+  let dma_groups =
+    List.map
+      (fun ((payload_bytes, mrt, transfers), c) ->
+        { Lowered.payload_bytes; mrt; count = float_of_int c /. float_of_int active; transfers })
+      requests
+    |> List.sort compare
+  in
+  let elems = Array.map (List.fold_left (fun acc (_, n) -> acc + n) 0) chunks in
+  let longest = ref 0 in
+  Array.iteri (fun i e -> if e > elems.(!longest) then longest := i) elems;
+  let spills n = match kernel.Kernel.spill_gloads with None -> 0 | Some f -> Stdlib.max 0 (f n) in
+  let gloads_of =
+    List.fold_left
+      (fun acc (first, n) ->
+        let irregular =
+          match kernel.Kernel.gloads with
+          | None -> 0
+          | Some g -> List.fold_left (fun a k -> a + g.Kernel.count_for (first + k)) 0 (List.init n Fun.id)
+        in
+        acc + spills n + irregular)
+      0
+  in
+  let gload_count, gload_bytes =
+    match kernel.Kernel.gloads with
+    | None -> (gloads_of chunks.(!longest), 8)
+    | Some g -> (Array.fold_left (fun acc cs -> Stdlib.max acc (gloads_of cs)) 0 chunks, g.Kernel.g_bytes)
+  in
+  let block unroll = Codegen.block ~ialu_per_access:kernel.Kernel.ialu_per_access ~unroll kernel.Kernel.body in
+  let scalar_iters = elems.(!longest) * kernel.Kernel.body_trips_per_element in
+  let total_iters = (scalar_iters + kernel.Kernel.vector_width - 1) / kernel.Kernel.vector_width in
+  let trips_u, rem = Codegen.trips_for ~total_iters ~unroll:v.Kernel.unroll in
+  let computes =
+    List.filter_map
+      (fun (block, trips) -> if trips > 0 then Some { Lowered.block; trips } else None)
+      [ (block v.Kernel.unroll, trips_u); (block 1, rem) ]
+  in
+  {
+    Lowered.active_cpes = active;
+    dma_groups;
+    gload_count;
+    gload_bytes;
+    computes;
+    vector_width = kernel.Kernel.vector_width;
+    double_buffered = v.Kernel.double_buffer;
+  }
+
+(* Shapes do not depend on the SPM size, so the checks below lift it
+   to reach every grain. *)
+let roomy params = { params with Sw_arch.Params.spm_bytes = 1 lsl 40 }
+
+let check_against_reference ?requests params kernel v =
+  match Lower.summarize params kernel v with
+  | Error msg -> Error msg
+  | Ok s ->
+      if s = reference_summary ?requests params kernel v then Ok ()
+      else Error "summary differs from the reference"
+
+(* Random synthetic kernels: contiguous, strided and per-chunk copies in
+   every direction at unaligned bases, element counts that the grain
+   need not divide, irregular and spill Gloads, and any power-of-two
+   transaction size the machine validation accepts. *)
+type synthetic = {
+  trans_size : int;
+  n_elements : int;
+  copy_specs : (int * Kernel.direction * Kernel.copy_freq * Kernel.layout_kind * int) list;
+  irregular : bool;
+  spill : bool;
+  width : int;
+  synth_variant : Kernel.variant;
+}
+
+let gen_synthetic =
+  let open QCheck.Gen in
+  let* trans_size = map (fun k -> 1 lsl k) (int_range 0 12) in
+  let* n_elements = int_range 1 3000 in
+  let gen_copy =
+    let* bytes = int_range 1 64 in
+    let* dir = oneofl [ Kernel.In; Kernel.Out; Kernel.Inout ] in
+    let* freq = frequency [ (1, return Kernel.Per_chunk); (3, return Kernel.Per_element) ] in
+    let* layout =
+      frequency
+        [ (2, return Kernel.Contiguous); (1, map (fun extra -> Kernel.Strided (bytes + extra)) (int_range 0 300)) ]
+    in
+    let* base = int_range 0 100_000 in
+    return (bytes, dir, freq, layout, base)
+  in
+  let* copy_specs = list_size (int_range 1 4) gen_copy in
+  let* irregular = bool in
+  let* spill = bool in
+  let* width = oneofl [ 1; 2; 4 ] in
+  let* grain = frequency [ (3, int_range 1 64); (1, int_range 1 (n_elements + 5)) ] in
+  let* unroll = int_range 1 4 in
+  let* active_cpes = int_range 1 64 in
+  let* double_buffer = bool in
+  return
+    {
+      trans_size;
+      n_elements;
+      copy_specs;
+      irregular;
+      spill;
+      width;
+      synth_variant = { Kernel.grain; unroll; active_cpes; double_buffer };
+    }
+
+let print_synthetic s =
+  Printf.sprintf "trans_size=%d n=%d grain=%d active=%d irregular=%b spill=%b copies=[%s]" s.trans_size
+    s.n_elements s.synth_variant.Kernel.grain s.synth_variant.Kernel.active_cpes s.irregular s.spill
+    (String.concat "; "
+       (List.map
+          (fun (bytes, _, freq, layout, base) ->
+            Printf.sprintf "%dB %s %s @%d" bytes
+              (match freq with Kernel.Per_chunk -> "chunk" | Kernel.Per_element -> "elem")
+              (match layout with Kernel.Contiguous -> "contig" | Kernel.Strided st -> Printf.sprintf "stride %d" st)
+              base)
+          s.copy_specs))
+
+let synthetic_kernel s =
+  let copies =
+    List.mapi
+      (fun i (bytes_per_elem, direction, freq, layout, base_addr) ->
+        { Kernel.array_name = Printf.sprintf "x%d" i; bytes_per_elem; direction; freq; layout; base_addr })
+      s.copy_specs
+  in
+  let gloads =
+    if s.irregular then
+      Some { Kernel.g_bytes = 8; count_for = (fun e -> ((e * 7) + 3) mod 5); addr_for = (fun e j -> 8 * (e + j)) }
+    else None
+  in
+  let spill_gloads = if s.spill then Some (fun g -> if g < 16 then 3 else g mod 3 - 1) else None in
+  Kernel.make ~name:"synthetic" ~n_elements:s.n_elements ~copies ~body ?gloads ?spill_gloads
+    ~vector_width:s.width ()
+
+let prop_periodic_tally =
+  QCheck.Test.make ~name:"periodic shape tally = chunk-by-chunk tally" ~count:400
+    (QCheck.make ~print:print_synthetic gen_synthetic)
+    (fun s ->
+      let params =
+        roomy { p with Sw_arch.Params.trans_size = s.trans_size; gload_max_bytes = Stdlib.min 32 s.trans_size }
+      in
+      (match Sw_arch.Params.validate params with
+      | Ok _ -> ()
+      | Error msg -> QCheck.Test.fail_reportf "invalid machine: %s" msg);
+      match check_against_reference params (synthetic_kernel s) s.synth_variant with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+(* Every registry kernel, every grain of a fine sweep and the grains
+   around the element count, at three CPE counts. *)
+let test_registry_sweep () =
+  let params = roomy p in
+  List.iter
+    (fun (e : Sw_workloads.Registry.entry) ->
+      let k = e.Sw_workloads.Registry.build ~scale:0.25 in
+      let n = k.Kernel.n_elements in
+      let grains = List.init 300 (fun i -> i + 1) @ [ 511; 512; 4097; n - 1; n; n + 1 ] in
+      List.iter
+        (fun grain ->
+          let requests = reference_requests params k ~grain in
+          List.iter
+            (fun active ->
+                match check_against_reference ~requests params k (variant ~grain ~active ()) with
+                | Ok () -> ()
+                | Error msg -> Alcotest.failf "%s grain=%d active=%d: %s" e.Sw_workloads.Registry.name grain active msg)
+            [ 64; 17; 1 ])
+        grains;
+      Lower.clear_cache ())
+    Sw_workloads.Registry.all
+
 let tests =
   ( "lower",
     [
@@ -331,4 +554,6 @@ let tests =
       Alcotest.test_case "active CPEs capped by chunks" `Quick test_active_cpes_capped_by_chunks;
       Alcotest.test_case "memoized summary path agrees" `Quick test_memo_differential;
       Alcotest.test_case "unroll axis stays resident across grains" `Quick test_unroll_axis_resident;
+      QCheck_alcotest.to_alcotest prop_periodic_tally;
+      Alcotest.test_case "registry shapes = chunk-by-chunk tally" `Quick test_registry_sweep;
     ] )
