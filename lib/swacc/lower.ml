@@ -271,7 +271,7 @@ let build_summary kernel shape ~blocks ~unroll ~active ~double_buffer =
 (* ------------------------------------------------------------------ *)
 (* Process-wide memo tables.
 
-   Lowering, the chunk walk and code generation are pure, so their
+   Lowering, the shape tally and code generation are pure, so their
    results can be shared by everyone pricing the same inputs.  The
    kernel is keyed by {e physical} identity: [Kernel.t] carries
    closures (gload address generators), so two structurally-different

@@ -45,14 +45,14 @@ val spm_required : Kernel.t -> Kernel.variant -> int
     the compute trip counts are recomputed per variant, so every
     variant of a grain shares one shape.
 
-    The shape is not a walk over every chunk.  Full chunks repeat their
-    request shapes with a period of [trans_size / gcd (trans_size,
-    grain * s)] chunks, [s] the gcd of the per-element copies' address
-    steps (element size or stride), so the DMA groups come from at most
-    [trans_size] weighted full chunks plus the partial last one, and
-    the longest CPE's elements and spill Gloads in closed form.  Only
-    kernels with irregular per-element Gloads still sum a count per
-    element.
+    The shape is tallied over one address period.  Full chunks repeat
+    their request shapes with a period of [trans_size / gcd
+    (trans_size, grain * s)] chunks, [s] the gcd of the per-element
+    copies' address steps (element size or stride), so the DMA groups
+    come from at most [trans_size] weighted full chunks plus the
+    partial last one, and the longest CPE's elements and spill Gloads
+    in closed form.  Only kernels with irregular per-element Gloads
+    still sum a count per element.
 
     All three tables are {!Sw_util.Memo}s (safe under {!Sw_util.Pool}
     fan-out, oldest entry forgotten first) bounded to 64 lowerings, 16
