@@ -374,12 +374,13 @@ val journal_close : journal -> unit
 
 (** {2 Offline journal access}
 
-    The sharded tuner fans one search out across worker processes, each
-    appending to its own journal; the coordinator then merges those
-    files into one result set {e without} opening them for appending.
-    These readers share the resume reader above: the same header/digest
-    check, the same line decoder, the same tolerance for a truncated
-    final line. *)
+    Readers for journal files that no process holds open for
+    appending — the per-shard journals of a sharded tune, say, which
+    tools and the benchmark inspect (the sharded coordinator itself
+    reads the workers' summaries, not their journals).  These readers
+    share the resume reader above: the same header/digest check, the
+    same line decoder, the same tolerance for a truncated final
+    line. *)
 
 type journal_key = {
   jk_kernel : string;

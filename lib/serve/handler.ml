@@ -784,8 +784,8 @@ let chaos_backend ~actions ~jnl inner =
    passed on the command line, enumerate only this shard's points of the
    identical space, and run the ordinary search over them with the
    cutoff link wired to stdin/stdout.  Ground truth goes to the journal
-   (closed before the Done line, so the coordinator never merges behind
-   an open write); the pipe carries only advisory incumbents/stats. *)
+   (closed before the Done line); the pipe carries advisory incumbents
+   and, last, the Done line with the bills and the shard's summary. *)
 let worker_main spec =
   let req_int name j =
     match Option.bind (Json.member name j) Json.to_int with

@@ -233,7 +233,7 @@ val tune :
     {!Sw_tuning.Tuner.tune_sharded}: the space is partitioned by
     {!Sw_tuning.Shard.assign}, each worker journals its shard to
     [<checkpoint>.shard<i>of<N>] (temp files when no checkpoint), and
-    the merged journals yield the argmin.  The workers run supervised
+    the combined shard summaries yield the argmin.  The workers run supervised
     ([t_max_restarts]/[t_hang_timeout_s]): a crashed or hung worker is
     relaunched and replays its journal; a shard that exhausts its
     budget is quarantined and the response comes back [degraded] with

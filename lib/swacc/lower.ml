@@ -55,15 +55,20 @@ let compute_items kernel ~(blocks : Sw_isa.Instr.t array * Sw_isa.Instr.t array)
              loads @ mk_compute per_elem_trips))
 
 (* Register-spill Gloads the native compiler emits at small copy
-   granularities (Section V-C1); addresses fall in the first array's
-   chunk region. *)
-let spill_items kernel ~grain ~first =
+   granularities (Section V-C1), in the first array's chunk region —
+   none without a copy.  Programs and summary count by this one rule. *)
+let spill_count kernel n =
   match (kernel.Kernel.spill_gloads, kernel.Kernel.copies) with
-  | None, _ | _, [] -> []
-  | Some f, c :: _ ->
-      let count = Stdlib.max 0 (f grain) in
+  | Some f, _ :: _ -> Stdlib.max 0 (f n)
+  | _ -> 0
+
+let spill_items kernel ~grain ~first =
+  match kernel.Kernel.copies with
+  | [] -> []
+  | c :: _ ->
       let base = c.Kernel.base_addr + (first * c.Kernel.bytes_per_elem) in
-      List.init count (fun j -> Program.Gload { addr = base + (j * 8); bytes = 8 })
+      List.init (spill_count kernel grain) (fun j ->
+          Program.Gload { addr = base + (j * 8); bytes = 8 })
 
 (* Synchronous schedule: copy-in, wait, compute, copy-out, wait. *)
 (* All transfers of one copy intrinsic form one logical DMA request. *)
@@ -223,12 +228,11 @@ let tally_shape params kernel ~grain ~active =
   let owns_tail = tail > 0 && (nchunks - 1) mod active = 0 in
   let full0 = ceil_div nchunks active - Bool.to_int owns_tail in
   let longest_elems = (full0 * grain) + if owns_tail then tail else 0 in
-  let spills n = match kernel.Kernel.spill_gloads with None -> 0 | Some f -> Stdlib.max 0 (f n) in
   let gload_count, gload_bytes =
     match kernel.Kernel.gloads with
     | None ->
         (* compiler spills of CPE 0's chunks *)
-        ((full0 * spills grain) + (if owns_tail then spills tail else 0), 8)
+        ((full0 * spill_count kernel grain) + (if owns_tail then spill_count kernel tail else 0), 8)
     | Some g ->
         (* irregular per-element counts: sum them chunk by chunk, plus
            each chunk's spills, and take the heaviest CPE *)
@@ -236,7 +240,7 @@ let tally_shape params kernel ~grain ~active =
         for k = 0 to nchunks - 1 do
           let first = k * grain in
           let n = Stdlib.min grain (n_elements - first) in
-          let sum = ref (spills n) in
+          let sum = ref (spill_count kernel n) in
           for e = first to first + n - 1 do
             sum := !sum + g.Kernel.count_for e
           done;

@@ -83,20 +83,18 @@ type stats = {
   pruned : int;
   rank_host_s : float;
   rank_machine_us : float;
-  rank_rejected : int;
 }
 
 let map_points ?pool f points =
   match pool with Some p -> Sw_util.Pool.map p f points | None -> List.map f points
 
 (* Count the pruned results, bump ["search.pruned"], attach the stats. *)
-let finish ~obs ~strategy ?(rank_host_s = 0.0) ?(rank_machine_us = 0.0) ?(rank_rejected = 0)
-    results =
+let finish ~obs ~strategy ?(rank_host_s = 0.0) ?(rank_machine_us = 0.0) results =
   let pruned = List.fold_left (fun n -> function _, Pruned _ -> n + 1 | _ -> n) 0 results in
   (match obs with
   | Some sink when pruned > 0 -> Sw_obs.Sink.incr sink ~by:pruned "search.pruned"
   | _ -> ());
-  (results, { strategy; pruned; rank_host_s; rank_machine_us; rank_rejected })
+  (results, { strategy; pruned; rank_host_s; rank_machine_us })
 
 (* A liveness tick: [current] drains pipe input and lets a worker link
    emit its periodic heartbeat.  The returned cutoff is discarded. *)
@@ -320,10 +318,8 @@ let run_ranked ~rank ~k ~stop ~score ~backend ~active_cpes ?pool ?obs ?link conf
         score_quantile ~seeds ~quantile ~spec ~backend ~active_cpes ?pool ?obs ?link config
           kernel results
   in
-  (* the ranker's rejections are exactly the points left out of [order]
-     (none of them is verified); a sharded worker never journals them *)
   finish ~obs ~strategy:(name (Ranked { rank; k; stop; score })) ~rank_host_s ~rank_machine_us
-    ~rank_rejected:(List.length indexed - List.length order) results
+    results
 
 (* ------------------------------------------------------------------ *)
 (* Successive halving: race all points through rungs of growing event

@@ -130,11 +130,6 @@ type stats = {
   rank_machine_us : float;
       (** Machine time billed by the ranking backend (0 for the static
           model; nonzero if a simulating backend ranks). *)
-  rank_rejected : int;
-      (** [Rejected] results the ranking pass produced: points the rank
-          backend's compile check refused, so the main backend never
-          saw them (0 outside [Ranked]).  A sharded worker reports this
-          count because these points never reach its journal. *)
 }
 
 val run :

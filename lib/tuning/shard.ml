@@ -4,11 +4,11 @@
    coordinator that rebroadcasts the global incumbent as a cutoff and
    relaunches dead or hung workers from their journals.
 
-   Ground truth lives in the per-shard Backend.journal files, never in
-   the pipes: every protocol message is advisory (a lost cutoff costs
-   work, a lost incumbent costs pruning), so the merged argmin is a
-   pure function of the journals — which is exactly why a worker can be
-   SIGKILLed and relaunched without the result changing by a bit. *)
+   Ground truth lives in the per-shard Backend.journal files: every
+   message but the final Done line is advisory (a lost cutoff costs
+   work, a lost incumbent costs pruning), and a worker summarizes its
+   shard, journal replays included, only once finished — which is why
+   it can be SIGKILLed and relaunched without the result moving a bit. *)
 
 module Json = Sw_obs.Json
 
@@ -167,8 +167,8 @@ let ignore_sigpipe () =
    anyway to be robust to reordering) — at most once per
    [drain_interval_s], since a drain is a [select] syscall and
    strategies poll once per point; [publish] writes an incumbent line.
-   The coordinator vanishing mid-run is not fatal to the worker — the
-   journal, not the pipe, is the result.
+   The coordinator vanishing mid-run is not fatal to the worker — its
+   journal keeps every result for the next run.
 
    [current] doubles as the liveness channel: strategies poll it at
    least once per assessment, so emitting a numbered heartbeat line
@@ -414,7 +414,7 @@ let close_fds procs =
    relaunched from its remembered argv.  The relaunch is safe precisely because
    the journal is the ground truth: the new incarnation replays every
    entry its predecessor committed (torn tails are truncated on open)
-   and recomputes only what was in flight, so the merged argmin is
+   and recomputes only what was in flight, so the combined argmin is
    bit-identical to an undisturbed run.  A slot that exhausts
    [max_restarts] is quarantined: its fds are closed, its stats stay
    [Null], and the run completes degraded instead of dying. *)

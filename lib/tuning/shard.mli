@@ -7,16 +7,19 @@
     on enumeration order or process); each worker runs an ordinary
     {!Search} strategy over its shard with a {!Search.link} wired to
     its stdin/stdout ({!worker_link}), journaling every resolved
-    assessment; the coordinator ({!launch} + {!supervise}) relays each worker's incumbent back out to the
-    others as a global cutoff.  Every pipe message is advisory — a
-    dropped cutoff costs extra verifications, never the argmin, because
-    cutoffs are strict and the merged result set is read back from the
-    journals alone ({!Sw_backend.Backend.journal_merge}).
+    assessment; the coordinator ({!launch} + {!supervise}) relays each
+    worker's incumbent back out to the others as a global cutoff.
+    Every cutoff and incumbent is advisory — a dropped one costs extra
+    verifications, never the argmin, because cutoffs are strict.  Only
+    the final [Done] line matters: it carries the summary of the
+    worker's whole shard, and it is sent only after the journal is
+    closed, on a clean exit.
 
-    That same invariant is what makes supervision safe: a worker that
-    dies or hangs can be relaunched ({!supervise}) and will replay its
-    journal, recomputing only what was in flight, so the merged argmin
-    of a supervised run is bit-identical to an undisturbed one. *)
+    The journal is what makes supervision safe: a worker that dies or
+    hangs can be relaunched ({!supervise}) and will replay its journal,
+    recomputing only what was in flight, and summarize the whole shard,
+    so the combined argmin of a supervised run is bit-identical to an
+    undisturbed one. *)
 
 (** {1 Partition} *)
 
@@ -99,8 +102,8 @@ val worker_link :
     published incumbent is silently dropped / written twice, consuming
     sequence numbers exactly as a lossy transport would.  Installs a
     SIGPIPE-ignore handler: the coordinator vanishing mid-run degrades
-    the link to a no-op rather than killing the worker — the journal,
-    not the pipe, carries the result. *)
+    the link to a no-op rather than killing the worker — its journal
+    keeps every result for the next run. *)
 
 (** {1 Coordinator side} *)
 
@@ -127,7 +130,7 @@ type health =
   | Degraded of int list
       (** These shards exhausted their restart budget and were
           quarantined; the others completed.  The caller decides what a
-          partial merge is worth. *)
+          partial result is worth. *)
 
 type report = {
   stats : Sw_obs.Json.t list;

@@ -4,14 +4,18 @@ type tally = {
   tuning_host_s : float;
   tuning_cpu_s : float;
   machine_time_us : float;
-  evaluated : int;
-  infeasible : int;
   points_pruned : int;
-  rank_rejected : int;
   rank_host_s : float;
   rank_machine_us : float;
   journal_hits : int;
   journal_misses : int;
+}
+
+type summary = {
+  evaluated : int;
+  infeasible : int;
+  first : (Space.point * float) option;
+  best : (Space.point * float) option;
 }
 
 type outcome = {
@@ -36,11 +40,50 @@ type outcome = {
   link_lines_dropped : int;
 }
 
-(* The one place a search becomes counts and a machine bill, in-process
-   and in every shard worker: run [strategy] (the host clocks bracket
-   the search alone), then fold the completed verdicts and the sunk
-   prefixes of pruned runs onto what the ranking pass simulated, in
-   enumeration order. *)
+(* The one fold from a search's results to what a tune decides by,
+   in-process and in every shard worker; the strict [<] keeps the
+   earliest of equal cycles. *)
+let summarize results =
+  List.fold_left
+    (fun (s : summary) (p, r) ->
+      match r with
+      | Search.Priced { Backend.cycles = c; _ } ->
+          let first = if s.first = None then Some (p, c) else s.first in
+          let best = match s.best with Some (_, b) when not (c < b) -> s.best | _ -> Some (p, c) in
+          { s with evaluated = s.evaluated + 1; first; best }
+      | Search.Rejected _ -> { s with infeasible = s.infeasible + 1 }
+      | Search.Pruned _ -> s)
+    { evaluated = 0; infeasible = 0; first = None; best = None }
+    results
+
+(* Summaries of disjoint parts of [axes] as one.  A point's index in
+   enumeration order is its axis positions, compared lexicographically;
+   a repeated value takes its first, the occurrence a strict-[<] fold
+   keeps. *)
+let combine (axes : Space.axes) summaries =
+  let pos axis v = Option.get (List.find_index (( = ) v) axis) in
+  let index ({ Space.grain; unroll; double_buffer }, _) =
+    (pos axes.grains grain, pos axes.unrolls unroll, pos axes.double_buffers double_buffer)
+  in
+  let lowest key a b =
+    match (a, b) with Some x, Some y when compare (key y) (key x) < 0 -> b | None, _ -> b | _ -> a
+  in
+  List.fold_left
+    (fun (acc : summary) (s : summary) ->
+      {
+        evaluated = acc.evaluated + s.evaluated;
+        infeasible = acc.infeasible + s.infeasible;
+        first = lowest index acc.first s.first;
+        best = lowest (fun ((_, c) as pc) -> (c, index pc)) acc.best s.best;
+      })
+    { evaluated = 0; infeasible = 0; first = None; best = None }
+    summaries
+
+(* The one place a search becomes a summary and a machine bill,
+   in-process and in every shard worker: run [strategy] (the host clocks
+   bracket the search alone), summarize it, and fold the completed
+   verdicts and the sunk prefixes of pruned runs onto what the ranking
+   pass simulated, in enumeration order. *)
 let search strategy ~backend ~active_cpes ?pool ?obs ?link ?journal config kernel ~points =
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
@@ -49,14 +92,15 @@ let search strategy ~backend ~active_cpes ?pool ?obs ?link ?journal config kerne
   in
   let tuning_host_s = Unix.gettimeofday () -. wall0 in
   let tuning_cpu_s = Sys.time () -. cpu0 in
-  let evaluated, infeasible, machine_time_us =
+  let summary = summarize results in
+  let machine_time_us =
     List.fold_left
-      (fun (e, i, m) (_, r) ->
+      (fun m (_, r) ->
         match r with
-        | Search.Priced v -> (e + 1, i, m +. v.Backend.cost.Backend.machine_us)
-        | Search.Pruned c -> (e, i, m +. c.Backend.machine_us)
-        | Search.Rejected _ -> (e, i + 1, m))
-      (0, 0, s.rank_machine_us) results
+        | Search.Priced v -> m +. v.Backend.cost.Backend.machine_us
+        | Search.Pruned c -> m +. c.Backend.machine_us
+        | Search.Rejected _ -> m)
+      s.rank_machine_us results
   in
   let journal_hits, journal_misses =
     match journal with
@@ -64,15 +108,13 @@ let search strategy ~backend ~active_cpes ?pool ?obs ?link ?journal config kerne
     | None -> (0, 0)
   in
   ( results,
+    summary,
     s.strategy,
     {
       tuning_host_s;
       tuning_cpu_s;
       machine_time_us;
-      evaluated;
-      infeasible;
       points_pruned = s.pruned;
-      rank_rejected = s.rank_rejected;
       rank_host_s = s.rank_host_s;
       rank_machine_us = s.rank_machine_us;
       journal_hits;
@@ -81,11 +123,16 @@ let search strategy ~backend ~active_cpes ?pool ?obs ?link ?journal config kerne
 
 (* --- the worker-stats codec: a shard worker's [Done] line ---------- *)
 
-(* The keys a worker's [Done] stats carry.  Counts are not among them:
-   the coordinator recomputes those from the merged journals, so a
-   relaunched worker's replays are not counted twice. *)
-let stats_to_json ~shard (t : tally) =
+(* A worker's [Done] stats: its bills, and the summary of its whole
+   shard (replays included, so a relaunched worker reports what an
+   undisturbed one would), cycles bit-exact through [Json.float_lit]. *)
+let stats_to_json ~shard (t : tally) (s : summary) =
   let open Sw_obs.Json in
+  let point = function
+    | None -> Null
+    | Some ({ Space.grain; unroll; double_buffer }, c) ->
+        Arr [ Int grain; Int unroll; Bool double_buffer; Float c ]
+  in
   Obj
     [
       ("shard", Int shard);
@@ -93,9 +140,12 @@ let stats_to_json ~shard (t : tally) =
       ("machine_us", Float t.machine_time_us);
       ("rank_host_s", Float t.rank_host_s);
       ("rank_machine_us", Float t.rank_machine_us);
-      ("rank_rejected", Int t.rank_rejected);
       ("journal_hits", Int t.journal_hits);
       ("journal_misses", Int t.journal_misses);
+      ("evaluated", Int s.evaluated);
+      ("infeasible", Int s.infeasible);
+      ("first", point s.first);
+      ("best", point s.best);
     ]
 
 let stats_of_json j =
@@ -105,25 +155,39 @@ let stats_of_json j =
     tuning_host_s = 0.0;
     tuning_cpu_s = float "cpu_s";
     machine_time_us = float "machine_us";
-    evaluated = 0;
-    infeasible = 0;
     points_pruned = 0;
-    rank_rejected = int "rank_rejected";
     rank_host_s = float "rank_host_s";
     rank_machine_us = float "rank_machine_us";
     journal_hits = int "journal_hits";
     journal_misses = int "journal_misses";
   }
 
+(* Strict where [stats_of_json] is lenient: a summary that does not
+   decode is [None], never a silent empty shard.  Non-finite cycles (a
+   robust score of infinity) arrive as a string. *)
+let summary_of_json j =
+  let open Sw_obs.Json in
+  let point = function
+    | Null -> Some None
+    | Arr [ Int grain; Int unroll; Bool double_buffer; c ] ->
+        (match c with Str s -> Float.of_string_opt s | c -> to_float c)
+        |> Option.map (fun c -> Some ({ Space.grain; unroll; double_buffer }, c))
+    | _ -> None
+  in
+  let get conv key = Option.bind (member key j) conv in
+  match (get to_int "evaluated", get to_int "infeasible", get point "first", get point "best") with
+  | Some evaluated, Some infeasible, Some first, Some best ->
+      Some { evaluated; infeasible; first; best }
+  | _ -> None
+
 let search_shard ~shard strategy ~backend ~journal ~link config kernel ~points =
-  let _, _, t = search strategy ~backend ~active_cpes:64 ~link ~journal config kernel ~points in
-  stats_to_json ~shard t
+  let _, s, _, t = search strategy ~backend ~active_cpes:64 ~link ~journal config kernel ~points in
+  stats_to_json ~shard t s
 
 (* The tail both tune paths share, and their one outcome constructor:
-   the strict-[<] argmin over the priced [(point, cycles)] in
-   enumeration order (the earliest index wins ties), then one
-   validation run each for the pick and the default — [default], or
-   else the first priced point with unroll 1 and no double buffering.
+   one validation run each for the summarized argmin [best] and the
+   default — [default], or else the [first] priced point with unroll 1
+   and no double buffering.
    Quality is always judged by [machine], whichever backend searched;
    the validation runs are not billed as tuning cost.  A memoizing
    [machine] answers a repeated validation from its table: the
@@ -133,12 +197,10 @@ let search_shard ~shard strategy ~backend ~journal ~link config kernel ~points =
    bit-identical to re-running.  The sharded-only fields default to an
    undisturbed in-process run.  [None] when nothing was priced. *)
 let pick_and_validate ~machine ~active_cpes ?default ~backend ~strategy ?(restarts = 0)
-    ?(quarantined = []) ?(link_lines_dropped = 0) (t : tally) config kernel = function
-  | [] -> None
-  | (p0, c0) :: rest ->
-      let best_point, _ =
-        List.fold_left (fun (bp, bc) (p, c) -> if c < bc then (p, c) else (bp, bc)) (p0, c0) rest
-      in
+    ?(quarantined = []) ?(link_lines_dropped = 0) (t : tally) (s : summary) config kernel =
+  match (s.first, s.best) with
+  | None, _ | _, None -> None
+  | Some (p0, _), Some (best_point, _) ->
       let run_variant variant = Backend.cycles_exn machine config kernel variant in
       let best = Space.to_variant best_point ~active_cpes in
       let best_cycles = run_variant best in
@@ -159,8 +221,8 @@ let pick_and_validate ~machine ~active_cpes ?default ~backend ~strategy ?(restar
           tuning_host_s = t.tuning_host_s;
           tuning_cpu_s = t.tuning_cpu_s;
           machine_time_us = t.machine_time_us;
-          evaluated = t.evaluated;
-          infeasible = t.infeasible;
+          evaluated = s.evaluated;
+          infeasible = s.infeasible;
           points_pruned = t.points_pruned;
           rank_host_s = t.rank_host_s;
           rank_machine_us = t.rank_machine_us;
@@ -192,15 +254,15 @@ let tune ~backend ?(machine = Backend.simulator) ?(strategy = Search.exhaustive)
      safe, and every strategy returns results in enumeration order, so
      the argmin below (strict [<], earliest index wins ties) is
      bit-identical to the sequential run. *)
-  let results, strategy, t =
+  let results, s, strategy, t =
     search strategy ~backend ~active_cpes ?pool ?obs ?journal config kernel ~points
   in
   (match (obs, span_t0) with
   | Some sink, Some t0 ->
       Sw_obs.Sink.incr sink "tuner.searches";
       Sw_obs.Sink.incr sink ~by:(List.length points) "tuner.points";
-      Sw_obs.Sink.incr sink ~by:t.evaluated "tuner.evaluated";
-      Sw_obs.Sink.incr sink ~by:t.infeasible "tuner.infeasible";
+      Sw_obs.Sink.incr sink ~by:s.evaluated "tuner.evaluated";
+      Sw_obs.Sink.incr sink ~by:s.infeasible "tuner.infeasible";
       Sw_obs.Sink.incr sink ~by:t.points_pruned "tuner.pruned";
       Sw_obs.Sink.add sink "tuner.machine_us" t.machine_time_us;
       Sw_obs.Sink.record sink
@@ -216,20 +278,17 @@ let tune ~backend ?(machine = Backend.simulator) ?(strategy = Search.exhaustive)
               ("backend", Sw_obs.Sink.String (Backend.name backend));
               ("strategy", Sw_obs.Sink.String strategy);
               ("points", Sw_obs.Sink.Int (List.length points));
-              ("evaluated", Sw_obs.Sink.Int t.evaluated);
-              ("infeasible", Sw_obs.Sink.Int t.infeasible);
+              ("evaluated", Sw_obs.Sink.Int s.evaluated);
+              ("infeasible", Sw_obs.Sink.Int s.infeasible);
               ("pruned", Sw_obs.Sink.Int t.points_pruned);
               ("machine_us", Sw_obs.Sink.Float t.machine_time_us);
             ];
         }
   | _ -> ());
   Option.iter Backend.journal_close journal;
-  let scored =
-    List.filter_map (function p, Search.Priced v -> Some (p, v.Backend.cycles) | _ -> None) results
-  in
   match
     pick_and_validate ~machine ~active_cpes ?default ~backend:(Backend.name backend)
-      ~strategy t config kernel scored
+      ~strategy t s config kernel
   with
   | Some o -> Ok o
   | None ->
@@ -247,11 +306,8 @@ let tune ~backend ?(machine = Backend.simulator) ?(strategy = Search.exhaustive)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded tuning: fan the same search out across worker processes.
-   The coordinator never assesses a point itself — each worker journals
-   its shard's resolved assessments, and the merged journals are the
-   whole result set.  The argmin below walks [points] in global
-   enumeration order with the same strict [<] fold as [tune], so the
-   sharded pick ties-break identically to the single-process oracle. *)
+   The coordinator assesses nothing and reads no journal: it combines
+   the shard summaries the workers' [Done] lines carry. *)
 
 let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
     ?(machine = Backend.simulator) ?(active_cpes = 64) ?default ?(max_restarts = 2)
@@ -264,110 +320,66 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
         Shard.launch ~shard ~argv:(argv ~shard ~journal:(journal_of shard)) ())
   in
   let report = Shard.supervise ~max_restarts ?hang_timeout_s procs in
-  let supervision_quarantined =
+  let quarantined =
     match report.Shard.health with Shard.Completed -> [] | Shard.Degraded q -> q
   in
-  (* The merge decides what each journal is worth: a digest mismatch is
-     a caller bug and fails the run; an unreadable journal (the shard
-     died before its first write, or chaos shredded the file) just
-     quarantines that shard — its points count as pruned, the rest of
-     the merge stands. *)
-  let mismatch = ref None in
-  let unreadable = ref [] in
-  let journal_paths = List.init workers journal_of in
-  let on_issue issue =
-    match issue with
-    | Backend.Journal_mismatched _ ->
-        if !mismatch = None then mismatch := Some (Backend.journal_issue_string issue)
-    | Backend.Journal_unreadable { path; _ } ->
-        List.iteri (fun shard p -> if p = path then unreadable := shard :: !unreadable)
-          journal_paths
+  (* a quarantined shard contributes nothing (its points count as
+     pruned); every other shard's summary must decode *)
+  let summaries =
+    List.mapi (fun shard stats -> (shard, summary_of_json stats)) report.Shard.stats
+    |> List.filter (fun (shard, _) -> not (List.mem shard quarantined))
   in
-  let merged = Backend.journal_merge ~on_issue ~config journal_paths in
-  let quarantined =
-    List.sort_uniq compare (supervision_quarantined @ !unreadable)
+  let ( let* ) = Result.bind in
+  let* s =
+    match List.find_opt (fun (_, s) -> s = None) summaries with
+    | Some (shard, _) ->
+        Error (`Worker_failure (Printf.sprintf "shard %d: done line without a summary" shard))
+    | None -> (
+        try Ok (combine axes (List.filter_map snd summaries))
+        with Invalid_argument _ -> Error (`Worker_failure "a summarized point is off the axes"))
   in
-  match !mismatch with
-  | Some msg -> Error (`Worker_failure msg)
-  | None -> (
-      (* the merged entries of this kernel, by point, and the grains
-         they fall in: only those grains are walked, in enumeration
-         order — every other point of the space was never priced *)
-      let by_point = Hashtbl.create 64 and touched = Hashtbl.create 64 in
-      Hashtbl.iter
-        (fun k entry ->
-          let { Sw_swacc.Kernel.grain; unroll; double_buffer; _ } = k.Backend.jk_variant in
-          let p = { Space.grain; unroll; double_buffer } in
-          if Backend.journal_key_of kernel (Space.to_variant p ~active_cpes) = k then begin
-            Hashtbl.replace by_point p entry;
-            Hashtbl.replace touched grain ()
-          end)
-        merged;
-      let { Space.grains; unrolls; double_buffers } = axes in
-      let walked =
-        { Space.grains = List.filter (Hashtbl.mem touched) grains; unrolls; double_buffers }
-      in
-      let infeasible = ref 0 in
-      let priced =
-        List.rev
-          (Space.fold walked
-             (fun priced p ->
-               match Hashtbl.find_opt by_point p with
-               | Some (Backend.Journal_ok { cycles; _ }) -> (p, cycles) :: priced
-               | Some (Backend.Journal_infeasible _) ->
-                   incr infeasible;
-                   priced
-               | Some (Backend.Journal_cutoff _) | None -> priced)
-             [])
-      in
-      let n_points = Space.size ~grains ~unrolls ~double_buffers () in
-      (* The workers' bills: summed, except the ranking wall clock —
-         workers rank concurrently, so that bill is the slowest.  A
-         shard without a [Done] line ([Null]) adds zeros. *)
-      let w =
-        List.fold_left
-          (fun (a : tally) stats ->
-            let b = stats_of_json stats in
-            {
-              a with
-              tuning_cpu_s = a.tuning_cpu_s +. b.tuning_cpu_s;
-              machine_time_us = a.machine_time_us +. b.machine_time_us;
-              rank_rejected = a.rank_rejected + b.rank_rejected;
-              rank_host_s = Float.max a.rank_host_s b.rank_host_s;
-              rank_machine_us = a.rank_machine_us +. b.rank_machine_us;
-              journal_hits = a.journal_hits + b.journal_hits;
-              journal_misses = a.journal_misses + b.journal_misses;
-            })
-          (stats_of_json Sw_obs.Json.Null) report.Shard.stats
-      in
-      let t =
+  let { Space.grains; unrolls; double_buffers } = axes in
+  let n_points = Space.size ~grains ~unrolls ~double_buffers () in
+  (* The workers' bills: summed, except the ranking wall clock —
+     workers rank concurrently, so that bill is the slowest.  A shard
+     without a [Done] line ([Null]) adds zeros. *)
+  let w =
+    List.fold_left
+      (fun (a : tally) stats ->
+        let b = stats_of_json stats in
         {
-          w with
-          tuning_host_s = Unix.gettimeofday () -. wall0;
-          (* the coordinator's own cpu plus what the workers report:
-             the real compute bill, not the coordinator's idle wait *)
-          tuning_cpu_s = Sys.time () -. cpu0 +. w.tuning_cpu_s;
-          (* the counts come from the merged journals, so a resumed run
-             reports the totals of an uninterrupted one; points the
-             workers' ranking pass rejected never reach a journal:
-             infeasible, not pruned *)
-          evaluated = List.length priced;
-          infeasible = !infeasible + w.rank_rejected;
-          points_pruned = n_points - List.length priced - !infeasible - w.rank_rejected;
-        }
-      in
-      match
-        pick_and_validate ~machine ~active_cpes ?default
-          ~backend:(Printf.sprintf "sharded(%s,workers=%d)" backend_name workers)
-          ~strategy:strategy_name ~restarts:report.Shard.restarts ~quarantined
-          ~link_lines_dropped:report.Shard.lines_dropped t config kernel priced
-      with
-      | Some o -> Ok o
-      | None ->
-          Error
-            (`No_feasible_point
-              (Printf.sprintf "sharded %s tuner: no feasible point among %d in the search space"
-                 backend_name n_points)))
+          a with
+          tuning_cpu_s = a.tuning_cpu_s +. b.tuning_cpu_s;
+          machine_time_us = a.machine_time_us +. b.machine_time_us;
+          rank_host_s = Float.max a.rank_host_s b.rank_host_s;
+          rank_machine_us = a.rank_machine_us +. b.rank_machine_us;
+          journal_hits = a.journal_hits + b.journal_hits;
+          journal_misses = a.journal_misses + b.journal_misses;
+        })
+      (stats_of_json Sw_obs.Json.Null) report.Shard.stats
+  in
+  let t =
+    {
+      w with
+      tuning_host_s = Unix.gettimeofday () -. wall0;
+      (* the coordinator's own cpu plus what the workers report: the
+         real compute bill, not the coordinator's idle wait *)
+      tuning_cpu_s = Sys.time () -. cpu0 +. w.tuning_cpu_s;
+      points_pruned = n_points - s.evaluated - s.infeasible;
+    }
+  in
+  match
+    pick_and_validate ~machine ~active_cpes ?default
+      ~backend:(Printf.sprintf "sharded(%s,workers=%d)" backend_name workers)
+      ~strategy:strategy_name ~restarts:report.Shard.restarts ~quarantined
+      ~link_lines_dropped:report.Shard.lines_dropped t s config kernel
+  with
+  | Some o -> Ok o
+  | None ->
+      Error
+        (`No_feasible_point
+          (Printf.sprintf "sharded %s tuner: no feasible point among %d in the search space"
+             backend_name n_points))
 
 let tune_exn ~backend ?strategy ?active_cpes ?default ?pool ?obs ?checkpoint config kernel
     ~points =

@@ -26,19 +26,29 @@ type tally = {
   tuning_host_s : float;
   tuning_cpu_s : float;
   machine_time_us : float;
-  evaluated : int;
-  infeasible : int;
   points_pruned : int;
-  rank_rejected : int;  (** {!Search.stats}' [rank_rejected]. *)
   rank_host_s : float;
   rank_machine_us : float;
   journal_hits : int;
   journal_misses : int;
 }
-(** What one search decided and cost: the counts and bills of an
+(** What one search cost, and what it pruned: the bills of an
     {!outcome} (each field means what the outcome's field of the same
     name means), computed in one place for the in-process tune, every
-    shard worker and the sharded coordinator. *)
+    shard worker and the sharded coordinator.  The rest of the counts
+    are the search's {!summary}. *)
+
+type summary = {
+  evaluated : int;  (** [Priced] results. *)
+  infeasible : int;  (** [Rejected] results, the ranking pass's included. *)
+  first : (Space.point * float) option;
+      (** The first priced point in enumeration order, and its cycles. *)
+  best : (Space.point * float) option;
+      (** The strict-[<] argmin and its cycles: the earliest point
+          among equal cycles. *)
+}
+(** What a tune decides by, folded from a search's results — the whole
+    space's in-process, one shard's in a shard worker. *)
 
 type outcome = {
   backend : string;  (** Name of the backend that searched. *)
@@ -92,16 +102,28 @@ type outcome = {
       (** Worker relaunches the supervisor performed ({!tune_sharded}
           only; 0 in-process). *)
   quarantined : int list;
-      (** Shards that exhausted their restart budget (or whose journal
-          came back unreadable) and contributed nothing: non-empty
-          means this outcome is a {e partial} result — the argmin over
-          every shard that completed.  Always [[]] in-process. *)
+      (** Shards that exhausted their restart budget and contributed
+          nothing: non-empty means this outcome is a {e partial}
+          result — the argmin over every shard that completed.  Always
+          [[]] in-process. *)
   link_lines_dropped : int;
       (** Worker->coordinator protocol lines lost in transit, counted
           from per-worker sequence-number gaps.  Lost lines cost extra
           verifications, never the argmin — this counter is what makes
           that loss observable instead of silent. *)
 }
+
+val summarize : (Space.point * Search.result_) list -> summary
+(** The one fold behind {!tune}, every shard worker and (through
+    {!combine}) {!tune_sharded}, over results in enumeration order. *)
+
+val combine : Space.axes -> summary list -> summary
+(** The summaries of disjoint parts of [axes] (the shards of
+    {!Shard.enumerate}, in any order) as one: counts add, [first] is
+    the point with the lowest global enumeration index and [best] the
+    lowest (cycles, index) pair — equal to {!summarize} over the whole
+    enumeration.  A value's index is its first position on each axis.
+    @raise Invalid_argument when a summarized point is not in [axes]. *)
 
 val tune :
   backend:Sw_backend.Backend.t ->
@@ -181,35 +203,32 @@ val tune_sharded :
 (** Fan one search out across [workers] processes.  [argv ~shard
     ~journal] names the command line for one worker (a [swmodel
     shard-worker] invocation); [journal_of shard] is the
-    {!Sw_backend.Backend.journal} path that worker appends to and the
-    coordinator merges from — the caller owns both so the daemon can
-    key them by request digest and the CLI by [--checkpoint].
+    {!Sw_backend.Backend.journal} path that worker resumes from and
+    appends to — the caller owns both so the daemon can key them by
+    request digest and the CLI by [--checkpoint].
 
     Each worker runs the ordinary {!Search} strategy over the shard
     {!Shard.assign} gives it, pruning against the {e global} incumbent
-    via the {!Shard} cutoff protocol.  The coordinator assesses nothing
-    itself: it merges the per-shard journals
-    ({!Sw_backend.Backend.journal_merge} — config-digest-checked,
-    truncated tails dropped, a verdict beats a cut-off bound and the
-    first-written verdict wins; a key left with only a bound counts as
-    pruned) and folds the
-    argmin over [axes] in global enumeration order ({!Space.fold}; no
-    process builds the whole space as a list) with the same
-    strict [<] tie-break as {!tune}, so the sharded pick is the
+    via the {!Shard} cutoff protocol, and ends with a [Done] line that
+    carries its shard's {!summary} ({!search_shard}).  The coordinator
+    assesses nothing and reads no journal: it {!combine}s the
+    summaries, so the argmin is the strict-[<] pick over [axes] in
+    global enumeration order, as in {!tune}, and the sharded pick is the
     single-process pick whenever each worker's search finds its shard's
     minimum (shortlist/adaptive/halving with the rank backend equal to
     the verify backend, or exhaustive, guarantee this: cutoffs are
-    strict, so a shard's minimum is always fully priced and journaled).
+    strict, so a shard's minimum is always fully priced).
 
     Self-healing: the workers run under {!Shard.supervise} — one that
     dies (or, with [hang_timeout_s], hangs) is relaunched up to
-    [max_restarts] times (default 2) and replays its journal, so the
-    argmin of a disturbed run is bit-identical to an undisturbed one.
-    A shard that exhausts its budget, or whose journal comes back
-    unreadable, lands in the outcome's [quarantined] list and the tune
+    [max_restarts] times (default 2), replays its journal and
+    summarizes the whole shard, so the argmin of a disturbed run is
+    bit-identical to an undisturbed one.  A shard that exhausts its
+    budget lands in the outcome's [quarantined] list and the tune
     completes as a typed partial result over the surviving shards (its
-    points count as pruned) instead of failing.  [`Worker_failure] is
-    reserved for a journal digest mismatch — a caller bug.  The
+    points count as pruned) instead of failing.  [`Worker_failure] is a
+    completed worker whose [Done] line carries no readable summary (a
+    worker from an older build, say) or a point outside [axes].  The
     journals also survive the coordinator itself dying: re-running
     with the same [journal_of] replays every resolved point —
     [journal_hits] counts them — to a bit-identical argmin.
@@ -217,12 +236,9 @@ val tune_sharded :
     The outcome's [backend] reads ["sharded(<backend_name>,workers=N)"];
     [tuning_host_s] is the coordinator's wall clock, [tuning_cpu_s] the
     summed worker CPU bill, [rank_host_s] the slowest worker's ranking
-    pass, and the counts ([evaluated]/[infeasible]/[points_pruned])
-    are recomputed from the merged journals, so a resumed run reports
-    the same totals as an uninterrupted one.  Points a worker's ranking
-    pass rejected are never journaled; each worker's [Done] stats
-    ({!stats_of_json}) carry their count from {!Search.stats}, and they
-    count as [infeasible], as in {!tune}.  [best_cycles] and
+    pass.  [evaluated] and [infeasible] (the workers' ranking-pass
+    rejections included, as in {!tune}) are the summed summaries, and
+    [points_pruned] is the rest of the space.  [best_cycles] and
     [default_cycles] are the usual one-per-variant validations, priced
     by the coordinator's [machine] as in {!tune}. *)
 
@@ -237,23 +253,31 @@ val search_shard :
   points:Space.point list ->
   Sw_obs.Json.t
 (** A shard worker's search: run the strategy over the worker's own
-    [points] (64 active CPEs) with the cutoff [link], tally it as
-    {!tune} does, and return the stats for the worker's [Done] line
-    ({!stats_to_json}).  [backend] is the worker's full stack, already
-    wrapped in [journal] (and whatever else the worker adds); the
+    [points] (64 active CPEs) with the cutoff [link], tally and
+    {!summarize} it as {!tune} does, and return the stats for the
+    worker's [Done] line ({!stats_to_json}).  [backend] is the worker's
+    full stack, already wrapped in [journal] (and whatever else the
+    worker adds), so replayed points are summarized with the rest; the
     journal is read for its hit/miss counts and left open. *)
 
-val stats_to_json : shard:int -> tally -> Sw_obs.Json.t
+val stats_to_json : shard:int -> tally -> summary -> Sw_obs.Json.t
 (** The worker-stats codec that {!search_shard} writes and
     {!tune_sharded} reads: ["shard"], ["cpu_s"], ["machine_us"],
-    ["rank_host_s"], ["rank_machine_us"], ["rank_rejected"],
-    ["journal_hits"] and ["journal_misses"].  [tuning_host_s] and the
-    counts are not sent: the coordinator measures its own wall clock
-    and recomputes the counts from the merged journals. *)
+    ["rank_host_s"], ["rank_machine_us"],
+    ["journal_hits"], ["journal_misses"], and the shard's summary:
+    ["evaluated"], ["infeasible"], and ["first"] and ["best"], each
+    [null] or [[grain, unroll, double_buffer, cycles]] with the cycles
+    bit-exact.  [tuning_host_s] and [points_pruned] are not sent: the
+    coordinator measures its own wall clock, and a point no summary
+    counts is pruned. *)
 
 val stats_of_json : Sw_obs.Json.t -> tally
-(** Inverse of {!stats_to_json} on the fields it sends; a missing or
+(** Inverse of {!stats_to_json} on the bills it sends; a missing or
     non-numeric field, and every field it does not send, reads as 0. *)
+
+val summary_of_json : Sw_obs.Json.t -> summary option
+(** The summary in {!stats_to_json}'s object; [None] when any of its
+    four fields is missing or does not decode. *)
 
 val tune_exn :
   backend:Sw_backend.Backend.t ->

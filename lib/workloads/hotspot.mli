@@ -1,11 +1,5 @@
 (** HotSpot thermal stencil (Rodinia). *)
 
-val columns : int
-
-val row_bytes : int
-
-val base_rows : int
-
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented
     evaluation size). *)

@@ -1,9 +1,5 @@
 (** Leukocyte GICOV sampling (Rodinia) — data-dependent Gloads. *)
 
-val samples : int
-
-val base_cells : int
-
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented
     evaluation size). *)

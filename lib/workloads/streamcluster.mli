@@ -1,9 +1,5 @@
 (** Streamcluster (Rodinia) — SPM distances plus Gload lookups. *)
 
-val medians : int
-
-val base_points : int
-
 val kernel : scale:float -> Sw_swacc.Kernel.t
 (** Build the kernel at the given scale (1.0 = the documented
     evaluation size). *)

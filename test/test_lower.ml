@@ -157,6 +157,16 @@ let test_spill_gloads () =
   let prog_gloads = Program.gload_count l_small.Lowered.programs.(0) in
   Alcotest.(check int) "program carries the spills too" 24 prog_gloads
 
+(* Spills come from copies: a kernel with no copy intrinsic emits none,
+   and the summary must not price any either. *)
+let test_spill_gloads_without_copies () =
+  let k = Kernel.make ~name:"t" ~n_elements:256 ~copies:[] ~body ~spill_gloads:(fun _ -> 3) () in
+  let l = Lower.lower_exn p k (variant ~grain:8 ()) in
+  let prog_gloads = Program.gload_count l.Lowered.programs.(0) in
+  Alcotest.(check int) "CPE 0 holds no spill" 0 prog_gloads;
+  Alcotest.(check int) "summary counts what CPE 0 runs" prog_gloads
+    l.Lowered.summary.Lowered.gload_count
+
 let test_strided_copy_requests () =
   let n = 64 in
   let stride = 1024 in
@@ -549,6 +559,7 @@ let tests =
       Alcotest.test_case "summary compute matches program" `Quick test_summary_compute_matches_program;
       Alcotest.test_case "per-element gloads" `Quick test_gloads_lowered_per_element;
       Alcotest.test_case "compiler spill gloads" `Quick test_spill_gloads;
+      Alcotest.test_case "no spills without copies" `Quick test_spill_gloads_without_copies;
       Alcotest.test_case "strided copy requests" `Quick test_strided_copy_requests;
       Alcotest.test_case "summarize = lower summary" `Quick test_summarize_matches_lower;
       Alcotest.test_case "active CPEs capped by chunks" `Quick test_active_cpes_capped_by_chunks;

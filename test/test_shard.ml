@@ -474,10 +474,10 @@ let test_sharded_outcome_fields strategy () =
     (sharded.Tuner.evaluated + sharded.Tuner.points_pruned);
   Alcotest.(check bool) "same argmin" true (local.Tuner.best = sharded.Tuner.best)
 
-(* The coordinator walks only the grains its merged journals touch.
-   Resuming a checkpoint written over a wider space (entries outside the
+(* Resuming a checkpoint written over a wider space (entries outside the
    new one) with a duplicated grain still counts every point of the new
-   space exactly as an in-process tune does. *)
+   space exactly as an in-process tune does: the workers summarize
+   their replayed points with the rest. *)
 let test_sharded_counts_from_journals () =
   Unix.putenv "SWPM_WORKER_EXE" Sys.executable_name;
   let module H = Sw_serve.Handler in
@@ -508,41 +508,65 @@ let test_sharded_counts_from_journals () =
   Alcotest.(check int) "pruned" local.Tuner.points_pruned sharded.Tuner.points_pruned;
   Alcotest.(check bool) "same argmin" true (local.Tuner.best = sharded.Tuner.best)
 
+(* Equal summaries, cycles compared bit for bit. *)
+let same_summary (a : Tuner.summary) (b : Tuner.summary) =
+  let bits = Option.map (fun (p, c) -> (p, Int64.bits_of_float c)) in
+  a.evaluated = b.evaluated && a.infeasible = b.infeasible
+  && bits a.first = bits b.first
+  && bits a.best = bits b.best
+
 (* The worker-stats codec: what a worker sends round-trips exactly
-   (floats bit-exact through the protocol line), and a [Done] line that
-   carries only some keys reads the rest as 0. *)
+   (floats bit-exact through the protocol line, the summary's cycles
+   too, a robust score of infinity included), and a [Done] line that
+   carries only some keys reads the rest as 0 — but has no summary. *)
 let test_worker_stats_codec () =
   let sent =
     {
       Tuner.tuning_host_s = 0.0;
       tuning_cpu_s = 0.1 +. 0.2;
       machine_time_us = 1140894.5999990494;
-      evaluated = 0;
-      infeasible = 0;
       points_pruned = 0;
-      rank_rejected = 3;
       rank_host_s = 0.25;
       rank_machine_us = 18463.2;
       journal_hits = 7;
       journal_misses = 11;
     }
   in
-  let through_pipe stats =
+  let summary =
+    {
+      Tuner.evaluated = 5;
+      infeasible = 4;
+      first = Some (pt 64 1 true, 0.1 +. 0.2);
+      best = Some (pt 8 4 false, 1140894.5999990494);
+    }
+  in
+  let raw stats =
     match Shard.decode (Shard.encode (Shard.Done { stats; seq = Some 1 })) with
-    | Some (Shard.Done { stats; _ }) -> Tuner.stats_of_json stats
+    | Some (Shard.Done { stats; _ }) -> stats
     | _ -> Alcotest.fail "done line does not decode"
   in
-  Alcotest.(check bool) "round trip" true (through_pipe (Tuner.stats_to_json ~shard:2 sent) = sent);
-  let partial =
-    through_pipe (Json.Obj [ ("shard", Json.Int 0); ("cpu_s", Json.Float 1.5) ])
-  in
+  let through_pipe stats = Tuner.stats_of_json (raw stats) in
+  Alcotest.(check bool) "round trip" true
+    (through_pipe (Tuner.stats_to_json ~shard:2 sent summary) = sent);
+  List.iter
+    (fun (label, summary) ->
+      match Tuner.summary_of_json (raw (Tuner.stats_to_json ~shard:2 sent summary)) with
+      | Some back -> Alcotest.(check bool) label true (same_summary back summary)
+      | None -> Alcotest.failf "%s: summary does not decode" label)
+    [
+      ("summary round trip", summary);
+      ("infinite cycles", { summary with Tuner.best = Some (pt 8 4 false, Float.infinity) });
+      ("empty shard", { Tuner.evaluated = 0; infeasible = 3; first = None; best = None });
+    ];
+  let partial_stats = Json.Obj [ ("shard", Json.Int 0); ("cpu_s", Json.Float 1.5) ] in
+  Alcotest.(check bool) "no summary" true (Tuner.summary_of_json (raw partial_stats) = None);
+  let partial = through_pipe partial_stats in
   Alcotest.(check bool) "missing fields read as 0" true
     (partial
     = {
         sent with
         Tuner.tuning_cpu_s = 1.5;
         machine_time_us = 0.0;
-        rank_rejected = 0;
         rank_host_s = 0.0;
         rank_machine_us = 0.0;
         journal_hits = 0;
@@ -576,6 +600,120 @@ let test_sharded_adaptive_argmin () =
       Alcotest.(check bool) (e.name ^ ": same argmin") true (best 1 = best 2))
     Sw_workloads.Registry.tuning_subset
 
+(* Per-point results drawn from [seed]: a point's result depends on the
+   point alone, so a repeated axis value repeats it, and three cycle
+   values make ties across shards common. *)
+let result_of ~seed point =
+  let h = Hashtbl.hash (seed, Shard.canonical_key point) in
+  match h mod 5 with
+  | 0 -> Search.Rejected { Backend.backend = "t"; reason = "spm" }
+  | 1 -> Search.Pruned Backend.zero_cost
+  | _ ->
+      let cycles = [| 0.1 +. 0.2; 0.3; 7.5 |].(h / 5 mod 3) in
+      Search.Priced { Backend.cycles; cost = Backend.zero_cost; breakdown = None }
+
+(* The coordinator's answer is the in-process one: the shards'
+   summaries, each folded over [Shard.enumerate]'s order and combined,
+   equal the fold over the whole enumeration — the same first point,
+   the same argmin with bit-identical cycles, the same counts. *)
+let prop_combine_is_summarize =
+  QCheck.Test.make ~count:500 ~name:"combined shard summaries = the in-process fold"
+    QCheck.(
+      make
+        ~print:(fun ((g, u, db), shards, seed) ->
+          Printf.sprintf "grains=%s unrolls=%s dbs=%s shards=%d seed=%d"
+            (String.concat "," (List.map string_of_int g))
+            (String.concat "," (List.map string_of_int u))
+            (String.concat "," (List.map string_of_bool db))
+            shards seed)
+        Gen.(
+          triple
+            (triple
+               (list_size (int_range 1 4) (int_range 1 4))
+               (list_size (int_range 1 3) (int_range 1 3))
+               (oneofl [ [ false ]; [ true ]; [ false; true ]; [ true; false ] ]))
+            (int_range 1 4) int))
+    (fun ((grains, unrolls, double_buffers), shards, seed) ->
+      let axes = { Space.grains; unrolls; double_buffers } in
+      let summary points = Tuner.summarize (List.map (fun p -> (p, result_of ~seed p)) points) in
+      let whole = summary (Space.enumerate ~grains ~unrolls ~double_buffers ()) in
+      same_summary whole
+        (Tuner.combine axes
+           (List.init shards (fun shard -> summary (Shard.enumerate ~shard ~shards axes)))))
+
+(* A kmeans request small enough to tune exhaustively under the model. *)
+let kmeans_req =
+  {
+    (Sw_serve.Handler.tune_defaults ~kernel:"kmeans") with
+    Sw_serve.Handler.t_backend = "model";
+    t_grains = Some "8,64,512,1024,2048";
+    t_scale = 0.25;
+    t_seed = Some 3;
+  }
+
+let kmeans_axes =
+  {
+    Space.grains = [ 8; 64; 512; 1024; 2048 ];
+    unrolls = (Sw_workloads.Registry.find_exn "kmeans").Sw_workloads.Registry.unrolls;
+    double_buffers = [ false ];
+  }
+
+let tune_sharded_kmeans ~argv =
+  let config =
+    match Sw_serve.Handler.tune_config kmeans_req with
+    | Ok c -> c
+    | Error msg -> Alcotest.fail msg
+  in
+  let kernel = (Sw_workloads.Registry.find_exn "kmeans").Sw_workloads.Registry.build ~scale:0.25 in
+  let journals = Array.init 2 (fun _ -> Filename.temp_file "swpm-shard-summary" ".journal") in
+  let result =
+    Tuner.tune_sharded ~backend_name:"model" ~strategy_name:"exhaustive" ~workers:2 ~argv
+      ~journal_of:(fun shard -> journals.(shard))
+      ~max_restarts:0 config kernel ~axes:kmeans_axes
+  in
+  Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) journals;
+  (config, kernel, result)
+
+(* A shard that always dies is quarantined and contributes nothing: the
+   tune still answers, marked partial, with the surviving shard's
+   argmin, and every point of the space is counted once. *)
+let test_sharded_quarantine_partial () =
+  Unix.putenv "SWPM_WORKER_EXE" Sys.executable_name;
+  let argv ~shard ~journal =
+    if shard = 1 then [| "/bin/sh"; "-c"; "exit 7" |]
+    else Sw_serve.Handler.worker_argv kmeans_req ~shard ~shards:2 ~journal
+  in
+  let config, kernel, result = tune_sharded_kmeans ~argv in
+  let o = match result with Ok o -> o | Error _ -> Alcotest.fail "partial tune failed" in
+  let shard0 =
+    Tuner.tune_exn ~backend:Backend.static_model config kernel
+      ~points:(Shard.enumerate ~shard:0 ~shards:2 kmeans_axes)
+  in
+  let { Space.grains; unrolls; double_buffers } = kmeans_axes in
+  Alcotest.(check (list int)) "quarantined" [ 1 ] o.Tuner.quarantined;
+  Alcotest.(check bool) "shard 0's argmin" true (o.Tuner.best = shard0.Tuner.best);
+  Alcotest.(check (float 0.)) "shard 0's best cycles" shard0.Tuner.best_cycles o.Tuner.best_cycles;
+  Alcotest.(check (float 0.)) "default" shard0.Tuner.default_cycles o.Tuner.default_cycles;
+  Alcotest.(check int) "shard 0's evaluated" shard0.Tuner.evaluated o.Tuner.evaluated;
+  Alcotest.(check int) "every point counted once"
+    (Space.size ~grains ~unrolls ~double_buffers ())
+    (o.Tuner.evaluated + o.Tuner.infeasible + o.Tuner.points_pruned)
+
+(* A worker that completes without a summary (an older build, say) is a
+   typed failure, never a shard silently counted as empty. *)
+let test_done_without_summary () =
+  let argv ~shard ~journal:_ =
+    [|
+      "/bin/sh";
+      "-c";
+      Printf.sprintf {|echo '{"ev": "done", "stats": {"shard": %d, "cpu_s": 0.0}}'|} shard;
+    |]
+  in
+  match tune_sharded_kmeans ~argv with
+  | _, _, Error (`Worker_failure _) -> ()
+  | _, _, Error (`No_feasible_point msg) -> Alcotest.failf "no summary read as: %s" msg
+  | _, _, Ok _ -> Alcotest.fail "a done line without a summary was accepted"
+
 let tests =
   ( "shard",
     [
@@ -606,4 +744,9 @@ let tests =
       QCheck_alcotest.to_alcotest prop_enumerate_is_mine;
       Alcotest.test_case "sharded counts walk only journaled grains" `Quick
         test_sharded_counts_from_journals;
+      QCheck_alcotest.to_alcotest prop_combine_is_summarize;
+      Alcotest.test_case "a quarantined shard leaves a partial argmin" `Quick
+        test_sharded_quarantine_partial;
+      Alcotest.test_case "a done line without a summary fails the tune" `Quick
+        test_done_without_summary;
     ] )
