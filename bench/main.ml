@@ -1,12 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section V) against the simulated SW26010, then measures
-   the cost centers behind the Table II tuning-time claim with bechamel
-   microbenchmarks.
+   evaluation (Section V) against the simulated SW26010, plus the
+   full-scale runs behind the repository's speed and robustness claims
+   (pruning, learned ranking, fault plans, traces, engine throughput,
+   sharded and chaos-injected tuning).  Checks that a test or a CI step
+   already makes live there, not here.
 
    Run: dune exec bench/main.exe
    A single section: dune exec bench/main.exe -- fig7
-   Parallel speedup:  dune exec bench/main.exe -- parallel
-   Machine-readable:  dune exec bench/main.exe -- table2 parallel --json BENCH_tuning.json *)
+   Machine-readable:  dune exec bench/main.exe -- table2 backends --json BENCH_tuning.json *)
 
 module J = Sw_obs.Json
 module Tuner = Sw_tuning.Tuner
@@ -134,94 +135,6 @@ let table2 () =
                 ("empirical", Tuner.outcome_to_json r.empirical);
               ])
           rows))
-
-(* Sequential vs domain-pool wall clock on the Table II empirical-tuner
-   search — the repository's heaviest hot path.  The schedule cache is
-   cleared before each timed run so cold/cold comparisons are fair; a
-   warm sequential rerun quantifies the cross-run cache on its own. *)
-let parallel () =
-  (* SWPM_DOMAINS still wins, but the fallback sizes from the host's
-     full recommended count (capped at 4) instead of Pool's
-     one-less-than-recommended default, which collapsed to a
-     1-domain pool — recording "domains": 1 — on small hosts. *)
-  let domains =
-    match Option.bind (Sys.getenv_opt "SWPM_DOMAINS") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | _ -> Stdlib.min 4 (Domain.recommended_domain_count ())
-  in
-  section
-    (Printf.sprintf "Parallel tuning: Table II empirical search, 1 vs %d domain(s)" domains);
-  let pool = Sw_util.Pool.create ~size:domains () in
-  let search ?pool (entry : Registry.entry) =
-    Tuner.tune_exn ~backend:Sw_backend.Backend.simulator ?pool config
-      (entry.build ~scale:1.0) ~points:(points_of entry)
-  in
-  let t =
-    Sw_util.Table.create ~title:"empirical-tuner search: wall-clock per workload"
-      [
-        ("kernel", Sw_util.Table.Left);
-        ("seq cold", Sw_util.Table.Right);
-        ("seq warm", Sw_util.Table.Right);
-        (Printf.sprintf "pool(%d)" (Sw_util.Pool.size pool), Sw_util.Table.Right);
-        ("speedup", Sw_util.Table.Right);
-        ("identical", Sw_util.Table.Left);
-      ]
-  in
-  let total_seq = ref 0.0 and total_warm = ref 0.0 and total_par = ref 0.0 in
-  let rows =
-    List.map
-      (fun (entry : Registry.entry) ->
-        Sw_isa.Schedule.clear_cache ();
-        let seq, seq_s = time (fun () -> search entry) in
-        let _, warm_s = time (fun () -> search entry) in
-        Sw_isa.Schedule.clear_cache ();
-        let par, par_s = time (fun () -> search ~pool entry) in
-        let identical =
-          same_best seq par && seq.evaluated = par.evaluated && seq.infeasible = par.infeasible
-        in
-        total_seq := !total_seq +. seq_s;
-        total_warm := !total_warm +. warm_s;
-        total_par := !total_par +. par_s;
-        let speedup = seq_s /. Stdlib.max 1e-9 par_s in
-        Sw_util.Table.add_row t
-          [
-            entry.name;
-            Printf.sprintf "%.3fs" seq_s;
-            Printf.sprintf "%.3fs" warm_s;
-            Printf.sprintf "%.3fs" par_s;
-            Sw_util.Table.cell_x speedup;
-            (if identical then "yes" else "NO");
-          ];
-        J.Obj
-          [
-            ("kernel", J.Str entry.name);
-            ("seq_s", J.Float seq_s);
-            ("warm_seq_s", J.Float warm_s);
-            ("pool_s", J.Float par_s);
-            ("speedup", J.Float speedup);
-            ("identical", J.Bool identical);
-          ])
-      Registry.tuning_subset
-  in
-  Sw_util.Table.print t;
-  let speedup = !total_seq /. Stdlib.max 1e-9 !total_par in
-  let warm_speedup = !total_seq /. Stdlib.max 1e-9 !total_warm in
-  Printf.printf
-    "total: sequential %.3fs, warm-cache sequential %.3fs (%.2fx), %d-domain pool %.3fs (%.2fx)\n"
-    !total_seq !total_warm warm_speedup (Sw_util.Pool.size pool) !total_par speedup;
-  if Sw_util.Pool.size pool = 1 then
-    Printf.printf "(single-domain host: set SWPM_DOMAINS or run on more cores to see speedup)\n";
-  add_json "parallel"
-    (J.Obj
-       [
-         ("domains", J.Int (Sw_util.Pool.size pool));
-         ("total_seq_s", J.Float !total_seq);
-         ("total_warm_seq_s", J.Float !total_warm);
-         ("total_pool_s", J.Float !total_par);
-         ("speedup", J.Float speedup);
-         ("warm_cache_speedup", J.Float warm_speedup);
-         ("workloads", J.Arr rows);
-       ])
 
 (* The Table II empirical sweep under each search strategy: exhaustive
    (every point simulated) vs model-guided shortlist (rank with the
@@ -495,60 +408,18 @@ let gflops () =
   Sw_experiments.Gflops.print (Sw_experiments.Gflops.run ())
 
 (* ------------------------------------------------------------------ *)
-(* The learned surrogate: held-out fit quality, DiffTune-style
-   calibration recovery, and the dense-space tuning claim.
+(* The learned surrogate: prediction throughput, DiffTune-style
+   calibration recovery, and the dense-space tuning claim.  (Held-out
+   fit quality is gated in test_learn.)
 
-   Gates: held-out Spearman rho >= 0.85 on every tuning kernel; >= 2 of
-   3 perturbed simulator parameters recovered within 10%; on a dense
-   tuning space the adaptive surrogate-ranked search returns the
-   sim-exhaustive argmin for >= 5x less simulated machine time,
-   training bill included. *)
+   Gates: >= 2 of 3 perturbed simulator parameters recovered within
+   10%; on a dense tuning space the adaptive surrogate-ranked search
+   returns the sim-exhaustive argmin for >= 5x less simulated machine
+   time, training bill included. *)
 
 let learn_bench () =
-  section "Learned surrogate: CV gates, calibration recovery, dense-space cut";
+  section "Learned surrogate: throughput, calibration recovery, dense-space cut";
   let pool = Lazy.force pool in
-  (* --- held-out cross-validation on sim-labelled tuning spaces --- *)
-  let cv_table =
-    Sw_util.Table.create ~title:"held-out cross-validation (5-fold, sim labels, scale 0.25)"
-      Sw_util.Table.
-        [ ("kernel", Left); ("points", Right); ("MAPE", Right); ("Spearman rho", Right) ]
-  in
-  let cv_rows =
-    List.map
-      (fun (entry : Registry.entry) ->
-        let kernel = entry.build ~scale:0.25 in
-        let rows =
-          Sw_util.Pool.filter_map pool
-            (fun pt ->
-              let v = Sw_tuning.Space.to_variant pt ~active_cpes:64 in
-              match
-                ( Sw_learn.Features.of_variant params kernel v,
-                  Sw_backend.Backend.assess Sw_backend.Backend.simulator config kernel v )
-              with
-              | Ok x, Ok verdict -> Some (x, verdict.Sw_backend.Backend.cycles)
-              | _ -> None)
-            (points_of entry)
-        in
-        let xs = Array.of_list (List.map fst rows) in
-        let ys = Array.of_list (List.map snd rows) in
-        let cv = Sw_learn.Regressor.cross_validate xs ys in
-        Sw_util.Table.add_row cv_table
-          [
-            entry.name;
-            string_of_int cv.n;
-            Printf.sprintf "%.1f%%" (100.0 *. cv.mape);
-            Printf.sprintf "%.3f" cv.rank_correlation;
-          ];
-        (entry.name, cv))
-      Registry.tuning_subset
-  in
-  Sw_util.Table.print cv_table;
-  let min_rho =
-    List.fold_left
-      (fun acc (_, (cv : Sw_learn.Regressor.cv)) -> Float.min acc cv.rank_correlation)
-      1.0 cv_rows
-  in
-  Printf.printf "worst held-out Spearman rho %.3f (gate: >= 0.85)\n\n" min_rho;
   (* --- prediction throughput: a trained surrogate vs the simulator --- *)
   let entry = Registry.find_exn "kmeans" in
   let kernel = entry.build ~scale:1.0 in
@@ -638,27 +509,13 @@ let learn_bench () =
   let dense_cut = ex_total /. Float.max 1e-9 ad_total in
   Printf.printf "dense-space machine-time cut %.1fx, training bill included (gate: >= 5x)\n"
     dense_cut;
-  let rho_ok = min_rho >= 0.85 and calib_ok = List.length recovered >= 2 in
-  gate rho_ok "worst Spearman rho %.3f < 0.85" min_rho;
+  let calib_ok = List.length recovered >= 2 in
   gate calib_ok "fewer than 2 parameters recovered within 10%%";
   gate dense_same "adaptive surrogate changed the argmin on a dense space";
   gate ((not dense_same) || dense_cut >= 5.0) "dense-space machine-time cut %.2fx < 5x" dense_cut;
   add_json "learn"
     (J.Obj
        [
-         ( "cv",
-           J.Arr
-             (List.map
-                (fun (name, (cv : Sw_learn.Regressor.cv)) ->
-                  J.Obj
-                    [
-                      ("kernel", J.Str name);
-                      ("points", J.Int cv.n);
-                      ("mape", J.Float cv.mape);
-                      ("spearman", J.Float cv.rank_correlation);
-                    ])
-                cv_rows) );
-         ("min_spearman", J.Float min_rho);
          ("surrogate_per_s", J.Float surrogate_per_s);
          ("simulator_per_s", J.Float sim_per_s);
          ( "calibration",
@@ -678,70 +535,10 @@ let learn_bench () =
          ("dense_adaptive_machine_us", J.Float ad_total);
          ("dense_machine_reduction", J.Float dense_cut);
          ("dense_same_pick", J.Bool dense_same);
-         ("gates_ok", J.Bool (rho_ok && calib_ok && dense_same && dense_cut >= 5.0));
+         ("gates_ok", J.Bool (calib_ok && dense_same && dense_cut >= 5.0));
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: the cost centers behind Table II          *)
-
-let microbench () =
-  section "Microbenchmarks (bechamel): variant-assessment cost centers";
-  let open Bechamel in
-  let entry = Registry.find_exn "kmeans" in
-  let kernel = entry.build ~scale:1.0 in
-  let variant = entry.variant in
-  let summary =
-    match Sw_swacc.Lower.summarize params kernel variant with
-    | Ok s -> s
-    | Error msg -> failwith msg
-  in
-  let lowered = Sw_swacc.Lower.lower_exn params kernel variant in
-  let tests =
-    [
-      (* static assessment: what the static tuner pays per variant *)
-      Test.make ~name:"summarize+predict (static tuner)"
-        (Staged.stage (fun () ->
-             match Sw_swacc.Lower.summarize params kernel variant with
-             | Ok s -> ignore (Swpm.Predict.run params s)
-             | Error msg -> failwith msg));
-      (* model evaluation alone *)
-      Test.make ~name:"predict (model only)"
-        (Staged.stage (fun () -> ignore (Swpm.Predict.run params summary)));
-      (* full compile: what both tuners pay to build a runnable variant *)
-      Test.make ~name:"lower (full compile)"
-        (Staged.stage (fun () -> ignore (Sw_swacc.Lower.lower_exn params kernel variant)));
-      (* a profiling run: what only the empirical tuner pays *)
-      Test.make ~name:"simulate (empirical tuner)"
-        (Staged.stage (fun () -> ignore (Sw_backend.Machine.metrics config lowered)));
-      (* per-block static scheduling, the model's T_comp input *)
-      Test.make ~name:"schedule block"
-        (Staged.stage (fun () ->
-             let block = Sw_swacc.Codegen.block ~unroll:4 kernel.Sw_swacc.Kernel.body in
-             ignore (Sw_isa.Schedule.avg_ilp params block)));
-    ]
-  in
-  let benchmark test =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-    let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-    let results = Analyze.all ols instance raw in
-    Hashtbl.iter
-      (fun name ols_result ->
-        match Analyze.OLS.estimates ols_result with
-        | Some [ ns ] ->
-            let pretty =
-              if ns >= 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-              else if ns >= 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-              else Printf.sprintf "%8.0f ns" ns
-            in
-            Printf.printf "  %-36s %s/run\n%!" name pretty
-        | Some _ | None -> Printf.printf "  %-36s (no estimate)\n%!" name)
-      results
-  in
-  List.iter benchmark tests
-
-
 (* The engine-throughput gate behind the tuning-time claims: events/sec
    and minor-heap words/event on the Table II workloads at scale 8,
    optimized {!Sw_sim.Engine} vs the preserved reference path
@@ -843,159 +640,6 @@ let engine () =
          ("words_per_event", J.Float agg_wpe);
          ("ref_words_per_event", J.Float (!sum_ref_words /. fev));
          ("rows", J.Arr rows);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* The serve daemon, driven in process: the serve and chaos sections
-   build their request lines and run their sessions here. *)
-
-(* One request line: [id], the request's own fields, then the deadline. *)
-let request_line ?deadline_ms id fields =
-  let deadline = match deadline_ms with Some d -> [ ("deadline_ms", J.Int d) ] | None -> [] in
-  J.to_string (J.Obj ((("id", J.Int id) :: fields) @ deadline))
-
-(* One server session over pipes, the server in its own domain: the
-   request lines go in as one burst, and each response line comes back
-   with its seconds since the burst began. *)
-let run_session ~config lines =
-  let req_r, req_w = Unix.pipe () in
-  let resp_r, resp_w = Unix.pipe () in
-  let state = Sw_serve.Handler.create () in
-  let server =
-    Domain.spawn (fun () ->
-        let output = Unix.out_channel_of_descr resp_w in
-        let stats = Sw_serve.Server.serve ~config state ~input:req_r ~output in
-        close_out output;
-        Unix.close req_r;
-        stats)
-  in
-  let t0 = Unix.gettimeofday () in
-  let wc = Unix.out_channel_of_descr req_w in
-  List.iter
-    (fun line ->
-      output_string wc line;
-      output_char wc '\n')
-    lines;
-  close_out wc;
-  let ic = Unix.in_channel_of_descr resp_r in
-  let responses = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       responses := (line, Unix.gettimeofday () -. t0) :: !responses
-     done
-   with End_of_file -> ());
-  close_in ic;
-  let stats = Domain.join server in
-  (List.rev !responses, stats, Unix.gettimeofday () -. t0)
-
-let flag name j = Option.bind (J.member name j) J.to_bool = Some true
-
-(* The serve daemon under a mixed Table II workload: sustained req/s
-   and tail latency through the real server loop (pipes, batching,
-   shared caches), plus the two correctness gates the service makes
-   sense under.  Gates: every response ok; every phase-1 response
-   bit-identical (volatile fields stripped) to a fresh one-shot handler
-   run of the same request line — the CLI code path; at least one
-   degraded tune under a forced flood, answered by the model backend;
-   p99 latency bounded; sustained throughput >= 1 req/s. *)
-
-let serve_bench () =
-  section "Serve: daemon req/s and p99 on a mixed Table II workload";
-  let module H = Sw_serve.Handler in
-  let module S = Sw_serve.Server in
-  let parse line = Result.to_option (J.parse line) in
-  let answered_ok (line, _) = Option.fold ~none:false ~some:(flag "ok") (parse line) in
-  let sim3 = [ ("backend", J.Str "sim"); ("seed", J.Int 3) ] in
-  let phase1_lines =
-    List.concat_map
-      (fun (entry : Registry.entry) ->
-        let kernel = ("kernel", J.Str entry.name) in
-        [
-          [ ("op", J.Str "predict"); kernel ];
-          (("op", J.Str "predict") :: kernel :: sim3);
-          (("op", J.Str "tune") :: kernel :: sim3);
-          [ ("op", J.Str "timeline"); kernel; ("seed", J.Int 3) ];
-        ])
-      Registry.tuning_subset
-    |> List.mapi request_line
-  in
-  let no_shed = { S.queue_capacity = 256; shed_watermark = 256; metrics_every = 0 } in
-  let responses, stats, elapsed = run_session ~config:no_shed phase1_lines in
-  let n = List.length responses in
-  let all_ok = List.for_all answered_ok responses in
-  (* identity gate: each daemon result equals a fresh one-shot handler
-     run of the line it answered, volatile fields stripped *)
-  let identical =
-    List.length responses = List.length phase1_lines
-    && List.for_all2
-         (fun line (resp, _) ->
-           let daemon =
-             Option.map H.strip_volatile (Option.bind (parse resp) (J.member "result"))
-           in
-           let oneshot =
-             match H.parse_request line with
-             | Ok req -> Result.to_option (H.run (H.create ()) req).H.result
-             | Error _ -> None
-           in
-           daemon <> None && daemon = Option.map H.strip_volatile oneshot)
-         phase1_lines responses
-  in
-  let latencies = Array.of_list (List.map snd responses) in
-  let p50 = Sw_util.Stats.percentile latencies 50.0 in
-  let p99 = Sw_util.Stats.percentile latencies 99.0 in
-  let req_per_s = float_of_int n /. Stdlib.max 1e-9 elapsed in
-  Printf.printf
-    "mixed workload: %d responses in %.3fs (%.1f req/s), p50 %.3fs, p99 %.3fs, all ok: %b, \
-     identical to one-shot: %b\n"
-    n elapsed req_per_s p50 p99 all_ok identical;
-  (* flood: a burst of sim tunes past a low watermark must shed to
-     model-only scoring, marked degraded, rather than queue without
-     bound *)
-  let flood_lines =
-    List.init 10 (fun i ->
-        request_line i (("op", J.Str "tune") :: ("kernel", J.Str "kmeans") :: sim3))
-  in
-  let shed = { S.queue_capacity = 64; shed_watermark = 2; metrics_every = 0 } in
-  let flood_responses, flood_stats, flood_elapsed = run_session ~config:shed flood_lines in
-  let flood_ok = List.for_all answered_ok flood_responses in
-  let degraded_by_model =
-    List.for_all
-      (fun (line, _) ->
-        match parse line with
-        | Some j when flag "degraded" j ->
-            Option.bind (J.member "result" j) (J.member "backend") = Some (J.Str "model")
-        | _ -> true)
-      flood_responses
-  in
-  Printf.printf
-    "flood: %d tunes in %.3fs, %d degraded (model-only scoring), all ok: %b, shed backend \
-     correct: %b\n"
-    flood_stats.served flood_elapsed flood_stats.degraded flood_ok degraded_by_model;
-  gate all_ok "some mixed-workload response not ok";
-  gate identical "a daemon response differs from its one-shot equivalent";
-  gate (flood_ok && degraded_by_model)
-    "flood responses not ok or shed to a backend other than model";
-  gate (flood_stats.degraded >= 1) "no degraded response under flood";
-  gate (p99 <= 30.0) "p99 %.3fs > 30s" p99;
-  gate (req_per_s >= 1.0) "%.2f req/s < 1" req_per_s;
-  add_json "serve"
-    (J.Obj
-       [
-         ("requests", J.Int n);
-         ("elapsed_s", J.Float elapsed);
-         ("req_per_s", J.Float req_per_s);
-         ("p50_s", J.Float p50);
-         ("p99_s", J.Float p99);
-         ("batches", J.Int stats.batches);
-         ("max_batch", J.Int stats.max_batch);
-         ("all_ok", J.Bool all_ok);
-         ("identical_to_oneshot", J.Bool identical);
-         ("flood_requests", J.Int flood_stats.served);
-         ("flood_degraded", J.Int flood_stats.degraded);
-         ("flood_elapsed_s", J.Float flood_elapsed);
-         ("flood_all_ok", J.Bool flood_ok);
-         ("shed_backend_is_model", J.Bool degraded_by_model);
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -1158,17 +802,15 @@ let shard_bench () =
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: a seeded sweep of process-level fault plans (SWPM_CHAOS)
-   against supervised sharded tuning, plus a deadline-admission flood
-   through the daemon.  Gates: every chaos run terminates within the
-   wall cap (no hangs); when no shard was quarantined the argmin is
-   bit-identical to the fault-free single-process oracle; a quarantined
-   shard always surfaces as a degraded result; restarts stay within the
-   per-shard budget; every flood response is typed (ok, degraded, or
-   error = "deadline_exceeded" — no silent deadline misses); and the
-   Prometheus export carries the supervision and deadline counters. *)
+   against supervised sharded tuning.  Gates: every chaos run
+   terminates within the wall cap (no hangs); when no shard was
+   quarantined the argmin is bit-identical to the fault-free
+   single-process oracle; a quarantined shard always surfaces as a
+   degraded result; restarts stay within the per-shard budget; and
+   every seed that arms drop: counts a dropped line. *)
 
 let chaos_bench () =
-  section "Chaos: fault-injected sharded tuning and deadline admission";
+  section "Chaos: fault-injected sharded tuning";
   let module H = Sw_serve.Handler in
   let module Chaos = Sw_fault.Fault.Chaos in
   let tune = sharded_tune () in
@@ -1247,76 +889,6 @@ let chaos_bench () =
     "sweep: %d/%d argmin-identical, %d quarantined (degraded), %d restarts, %d link lines \
      dropped, slowest run %.2fs\n%!"
     !identical seeds !quarantined_runs !restarts_total !dropped_total !max_run_s;
-  (* Deadline flood: a burst of tunes with deadlines the estimator
-     cannot meet must come back as typed refusals (or degraded runs),
-     never as silent latency. *)
-  let tune_fields =
-    [
-      ("op", J.Str "tune");
-      ("kernel", J.Str "vector-add");
-      ("grains", J.Str "64..256:16");
-      ("unrolls", J.Str "1..4");
-      ("seed", J.Int 3);
-      ("scale", J.Float 0.01);
-    ]
-  in
-  let flood_lines =
-    [ request_line 0 [ ("op", J.Str "ping") ] ]
-    @ List.init 6 (fun i -> request_line ~deadline_ms:1 (1 + i) tune_fields)
-    @ [ request_line ~deadline_ms:70 7 tune_fields ]
-    @ List.init 6 (fun i -> request_line ~deadline_ms:60_000 (8 + i) tune_fields)
-    @ [ request_line 14 [ ("op", J.Str "metrics") ] ]
-  in
-  let no_shed = { Sw_serve.Server.queue_capacity = 256; shed_watermark = 256; metrics_every = 0 } in
-  let timed_responses, _, _ = run_session ~config:no_shed flood_lines in
-  let responses = List.map fst timed_responses in
-  let ok_n = ref 0 and refused = ref 0 and degraded = ref 0 and late = ref 0 and bad = ref 0 in
-  List.iter
-    (fun line ->
-      match J.parse line with
-      | Error _ -> incr bad
-      | Ok j -> (
-          let late_mark = flag "deadline_exceeded" j in
-          if flag "degraded" j then incr degraded;
-          match Option.bind (J.member "ok" j) J.to_bool with
-          | Some true ->
-              incr ok_n;
-              if late_mark then incr late
-          | Some false when J.member "error" j = Some (J.Str "deadline_exceeded") && late_mark ->
-              incr refused
-          | _ -> incr bad))
-    responses;
-  let metrics_txt =
-    let text j = Option.bind (Option.bind (J.member "result" j) (J.member "text")) J.to_str in
-    match List.rev responses with
-    | last :: _ -> Option.value (Option.bind (Result.to_option (J.parse last)) text) ~default:""
-    | [] -> ""
-  in
-  let contains hay needle =
-    let h = String.length hay and n = String.length needle in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    n > 0 && go 0
-  in
-  let counters_ok =
-    List.for_all (contains metrics_txt)
-      [
-        "serve_deadline_exceeded";
-        "serve_deadline_degraded";
-        "serve_deadline_missed";
-        "shard_restarts";
-        "shard_quarantined";
-        "link_lines_dropped";
-      ]
-  in
-  Printf.printf
-    "flood: %d responses (%d ok, %d refused, %d degraded, %d late-marked, %d untyped), \
-     counters exported: %b\n%!"
-    (List.length responses) !ok_n !refused !degraded !late !bad counters_ok;
-  gate
-    (!bad = 0 && !refused >= 1 && !degraded >= 1 && !ok_n >= 1
-    && List.length responses = List.length flood_lines)
-    "flood left untyped or missing responses (%d untyped)" !bad;
-  gate counters_ok "Prometheus export is missing a supervision/deadline counter";
   add_json "chaos"
     (J.Obj
        [
@@ -1329,13 +901,6 @@ let chaos_bench () =
          ("link_lines_dropped_total", J.Int !dropped_total);
          ("slowest_run_s", J.Float !max_run_s);
          ("wall_cap_s", J.Float wall_cap_s);
-         ("flood_responses", J.Int (List.length responses));
-         ("flood_ok", J.Int !ok_n);
-         ("flood_refused", J.Int !refused);
-         ("flood_degraded", J.Int !degraded);
-         ("flood_late_marked", J.Int !late);
-         ("flood_untyped", J.Int !bad);
-         ("counters_exported", J.Bool counters_ok);
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -1348,7 +913,6 @@ let all =
     ("fig8", fig8);
     ("fig9", fig9_10);
     ("table2", table2);
-    ("parallel", parallel);
     ("prune", prune);
     ("backends", backends);
     ("robust", robust);
@@ -1361,9 +925,7 @@ let all =
     ("gflops", gflops);
     ("hybrid", hybrid);
     ("learn", learn_bench);
-    ("micro", microbench);
     ("engine", engine);
-    ("serve", serve_bench);
     ("shard", shard_bench);
     ("chaos", chaos_bench);
   ]

@@ -7,7 +7,14 @@ open Cmdliner
 
 let scale_arg =
   let doc = "Workload scale factor (1.0 = default evaluation size)." in
-  Arg.(value & opt float 1.0 & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.float s) (fun scale ->
+        Sw_workloads.Registry.check_scale scale
+        |> Result.map (fun () -> scale)
+        |> Result.map_error (fun msg -> `Msg msg))
+  in
+  let scale = Arg.conv (parse, Arg.conv_printer Arg.float) in
+  Arg.(value & opt scale 1.0 & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
 
 let kernel_arg =
   let doc = "Kernel name (see $(b,swmodel list))." in

@@ -504,11 +504,14 @@ let entry_of name =
    lowering, shape, block and engine compile caches key on a kernel's
    physical identity, so a kernel rebuilt per request would never hit
    them across requests.  Racing requests may both build one, but the
-   first stored wins and both get it. *)
+   first stored wins and both get it.  A scale that
+   [Registry.check_scale] rejects builds nothing. *)
 let kernel state (entry : Sw_workloads.Registry.entry) ~scale =
-  Kernel_memo.memo state.kernels
-    (entry.Sw_workloads.Registry.name, Int64.bits_of_float scale)
-    (fun () -> entry.Sw_workloads.Registry.build ~scale)
+  let* () = Sw_workloads.Registry.check_scale scale in
+  Ok
+    (Kernel_memo.memo state.kernels
+       (entry.Sw_workloads.Registry.name, Int64.bits_of_float scale)
+       (fun () -> entry.Sw_workloads.Registry.build ~scale))
 
 let variant_of (entry : Sw_workloads.Registry.entry) grain unroll cpes db =
   let base = entry.variant in
@@ -533,7 +536,7 @@ let simulating = function "sim" | "hybrid" -> true | _ -> false
 let predict state ?obs p =
   let* entry = entry_of p.p_kernel in
   let* config = predict_config p in
-  let kernel = kernel state entry ~scale:p.p_scale in
+  let* kernel = kernel state entry ~scale:p.p_scale in
   let variant = variant_of entry p.p_grain p.p_unroll p.p_cpes p.p_db in
   let* canonical, shared = backend state p.p_backend in
   (* The timeout chain degrades an over-budget simulation to the model
@@ -688,7 +691,7 @@ let machine state =
 let tune state ?(degrade = false) ?pool ?obs t =
   let* entry = entry_of t.t_kernel in
   let* config = tune_config t in
-  let kernel = kernel state entry ~scale:t.t_scale in
+  let* kernel = kernel state entry ~scale:t.t_scale in
   let* ({ Sw_tuning.Space.grains; unrolls; double_buffers } as axes) = tune_axes t entry in
   let n_points = Sw_tuning.Space.size ~grains ~unrolls ~double_buffers () in
   let* canonical, shared, strategy =
@@ -806,6 +809,7 @@ let worker_main spec =
   else
     let* entry = entry_of t.t_kernel in
     let* config = tune_config t in
+    let* () = Sw_workloads.Registry.check_scale t.t_scale in
     let kernel = entry.Sw_workloads.Registry.build ~scale:t.t_scale in
     let* axes = tune_axes t entry in
     let mine = Sw_tuning.Shard.enumerate ~shard ~shards axes in
@@ -953,7 +957,7 @@ let timeline_key l =
 let simulate_timeline state ?obs l =
   let* entry = entry_of l.l_kernel in
   let* config = timeline_config l in
-  let kernel = kernel state entry ~scale:l.l_scale in
+  let* kernel = kernel state entry ~scale:l.l_scale in
   let variant = variant_of entry l.l_grain l.l_unroll l.l_cpes l.l_db in
   let* lowered =
     match Sw_swacc.Lower.lower_cached config.Sw_sim.Config.params kernel variant with

@@ -215,6 +215,9 @@ val timeline_config : timeline_req -> (Sw_sim.Config.t, string) result
 
 val predict :
   state -> ?obs:Sw_obs.Sink.t -> predict_req -> (predict_result, string) result
+(** {!predict}, {!tune}, {!timeline} and {!worker_main} answer [Error]
+    for a scale {!Sw_workloads.Registry.check_scale} rejects, before
+    any kernel is built. *)
 
 val tune :
   state ->

@@ -52,9 +52,9 @@ type result_ =
    incumbent.  [current] is polled before each verification and folded
    (min) into the local incumbent; [publish] is called whenever the
    local incumbent strictly improves.  Pruning is advisory — a stale or
-   absent remote cutoff only costs work, never the argmin, because
-   cutoffs are strict (a point whose cycles equal the incumbent is
-   still fully priced). *)
+   absent remote cutoff only costs work, never prunes a point that
+   beats the incumbent, because cutoffs are strict (a point whose
+   cycles equal the incumbent is still fully priced). *)
 
 type link = { publish : float -> unit; current : unit -> float option }
 

@@ -116,7 +116,10 @@ type link = { publish : float -> unit; current : unit -> float option }
     polled per verification; [publish] fires whenever the local
     incumbent strictly improves (including its seeding).  The link is
     purely advisory: cutoffs stay strict, so a stale, lossy or absent
-    remote value costs extra verifications, never the argmin.
+    remote value costs extra verifications but never prunes a point
+    that beats the incumbent.  That is a property of the cut-off rule
+    alone: a sharded ranked search still takes its shortlist per shard,
+    so it can verify different points than an in-process one.
     [Successive_halving] and [Ranked] with [Nominal] scoring prune on
     the remote cutoff, and [Quiet_rung] also counts it in its stop
     rule.  [Quantile] scoring publishes its incumbents but never prunes

@@ -179,7 +179,7 @@ let ignore_sigpipe () =
    which is what makes the dropped-line counter testable. *)
 
 (* Cutoffs are advisory: one read up to this late costs verifications,
-   never the argmin. *)
+   and never prunes a point that beats the incumbent. *)
 let drain_interval_s = 0.001
 
 let worker_link ?(input = Unix.stdin) ?(output = Unix.stdout) ?(heartbeat_s = 0.25)

@@ -10,7 +10,11 @@
     assessment; the coordinator ({!launch} + {!supervise}) relays each
     worker's incumbent back out to the others as a global cutoff.
     Every cutoff and incumbent is advisory — a dropped one costs extra
-    verifications, never the argmin, because cutoffs are strict.  Only
+    verifications, and never prunes a point that beats the incumbent,
+    because cutoffs are strict.  (That is the cut-off rule alone: a
+    ranked worker resolves its shortlist over its own shard, so a
+    sharded ranked tune can verify different points, and pick a
+    different argmin, than the in-process one.)  Only
     the final [Done] line matters: it carries the summary of the
     worker's whole shard, and it is sent only after the journal is
     closed, on a clean exit.
@@ -19,7 +23,7 @@
     hangs can be relaunched ({!supervise}) and will replay its journal,
     recomputing only what was in flight, and summarize the whole shard,
     so the combined argmin of a supervised run is bit-identical to an
-    undisturbed one. *)
+    undisturbed sharded one. *)
 
 (** {1 Partition} *)
 

@@ -148,24 +148,11 @@ let stats_to_json ~shard (t : tally) (s : summary) =
       ("best", point s.best);
     ]
 
+(* The one decoder of a [Done] line, strict throughout: a missing or
+   mistyped bill or summary field is [None], never a silent zero or an
+   empty shard.  Non-finite cycles (a robust score of infinity) arrive
+   as a string. *)
 let stats_of_json j =
-  let get conv default key = Option.value (Option.bind (Sw_obs.Json.member key j) conv) ~default in
-  let float = get Sw_obs.Json.to_float 0.0 and int = get Sw_obs.Json.to_int 0 in
-  {
-    tuning_host_s = 0.0;
-    tuning_cpu_s = float "cpu_s";
-    machine_time_us = float "machine_us";
-    points_pruned = 0;
-    rank_host_s = float "rank_host_s";
-    rank_machine_us = float "rank_machine_us";
-    journal_hits = int "journal_hits";
-    journal_misses = int "journal_misses";
-  }
-
-(* Strict where [stats_of_json] is lenient: a summary that does not
-   decode is [None], never a silent empty shard.  Non-finite cycles (a
-   robust score of infinity) arrive as a string. *)
-let summary_of_json j =
   let open Sw_obs.Json in
   let point = function
     | Null -> Some None
@@ -175,9 +162,26 @@ let summary_of_json j =
     | _ -> None
   in
   let get conv key = Option.bind (member key j) conv in
-  match (get to_int "evaluated", get to_int "infeasible", get point "first", get point "best") with
-  | Some evaluated, Some infeasible, Some first, Some best ->
-      Some { evaluated; infeasible; first; best }
+  match
+    ( (get to_float "cpu_s", get to_float "machine_us", get to_float "rank_host_s"),
+      (get to_float "rank_machine_us", get to_int "journal_hits", get to_int "journal_misses"),
+      (get to_int "evaluated", get to_int "infeasible", get point "first", get point "best") )
+  with
+  | ( (Some tuning_cpu_s, Some machine_time_us, Some rank_host_s),
+      (Some rank_machine_us, Some journal_hits, Some journal_misses),
+      (Some evaluated, Some infeasible, Some first, Some best) ) ->
+      Some
+        ( {
+            tuning_host_s = 0.0;
+            tuning_cpu_s;
+            machine_time_us;
+            points_pruned = 0;
+            rank_host_s;
+            rank_machine_us;
+            journal_hits;
+            journal_misses;
+          },
+          { evaluated; infeasible; first; best } )
   | _ -> None
 
 let search_shard ~shard strategy ~backend ~journal ~link config kernel ~points =
@@ -324,29 +328,30 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
     match report.Shard.health with Shard.Completed -> [] | Shard.Degraded q -> q
   in
   (* a quarantined shard contributes nothing (its points count as
-     pruned); every other shard's summary must decode *)
-  let summaries =
-    List.mapi (fun shard stats -> (shard, summary_of_json stats)) report.Shard.stats
-    |> List.filter (fun (shard, _) -> not (List.mem shard quarantined))
+     pruned, its bills are dropped); every other shard's stats must
+     decode *)
+  let decoded =
+    List.mapi (fun shard stats -> (shard, stats)) report.Shard.stats
+    |> List.filter_map (fun (shard, stats) ->
+           if List.mem shard quarantined then None else Some (shard, stats_of_json stats))
   in
   let ( let* ) = Result.bind in
-  let* s =
-    match List.find_opt (fun (_, s) -> s = None) summaries with
+  let* bills, s =
+    match List.find_opt (fun (_, d) -> d = None) decoded with
     | Some (shard, _) ->
-        Error (`Worker_failure (Printf.sprintf "shard %d: done line without a summary" shard))
+        Error (`Worker_failure (Printf.sprintf "shard %d: done line does not decode" shard))
     | None -> (
-        try Ok (combine axes (List.filter_map snd summaries))
+        let bills, summaries = List.split (List.filter_map snd decoded) in
+        try Ok (bills, combine axes summaries)
         with Invalid_argument _ -> Error (`Worker_failure "a summarized point is off the axes"))
   in
   let { Space.grains; unrolls; double_buffers } = axes in
   let n_points = Space.size ~grains ~unrolls ~double_buffers () in
   (* The workers' bills: summed, except the ranking wall clock —
-     workers rank concurrently, so that bill is the slowest.  A shard
-     without a [Done] line ([Null]) adds zeros. *)
+     workers rank concurrently, so that bill is the slowest. *)
   let w =
     List.fold_left
-      (fun (a : tally) stats ->
-        let b = stats_of_json stats in
+      (fun (a : tally) (b : tally) ->
         {
           a with
           tuning_cpu_s = a.tuning_cpu_s +. b.tuning_cpu_s;
@@ -356,7 +361,17 @@ let tune_sharded ~backend_name ~strategy_name ~workers ~argv ~journal_of
           journal_hits = a.journal_hits + b.journal_hits;
           journal_misses = a.journal_misses + b.journal_misses;
         })
-      (stats_of_json Sw_obs.Json.Null) report.Shard.stats
+      {
+        tuning_host_s = 0.0;
+        tuning_cpu_s = 0.0;
+        machine_time_us = 0.0;
+        points_pruned = 0;
+        rank_host_s = 0.0;
+        rank_machine_us = 0.0;
+        journal_hits = 0;
+        journal_misses = 0;
+      }
+      bills
   in
   let t =
     {

@@ -109,7 +109,8 @@ type outcome = {
   link_lines_dropped : int;
       (** Worker->coordinator protocol lines lost in transit, counted
           from per-worker sequence-number gaps.  Lost lines cost extra
-          verifications, never the argmin — this counter is what makes
+          verifications; under the strict cut-off rule they never prune
+          a point that beats the incumbent — this counter is what makes
           that loss observable instead of silent. *)
 }
 
@@ -271,13 +272,10 @@ val stats_to_json : shard:int -> tally -> summary -> Sw_obs.Json.t
     coordinator measures its own wall clock, and a point no summary
     counts is pruned. *)
 
-val stats_of_json : Sw_obs.Json.t -> tally
-(** Inverse of {!stats_to_json} on the bills it sends; a missing or
-    non-numeric field, and every field it does not send, reads as 0. *)
-
-val summary_of_json : Sw_obs.Json.t -> summary option
-(** The summary in {!stats_to_json}'s object; [None] when any of its
-    four fields is missing or does not decode. *)
+val stats_of_json : Sw_obs.Json.t -> (tally * summary) option
+(** The one decoder of {!stats_to_json}'s object: the bills it sends
+    (every field it does not send reads as 0) and the shard's summary.
+    Strict: [None] when any sent field is missing or does not decode. *)
 
 val tune_exn :
   backend:Sw_backend.Backend.t ->

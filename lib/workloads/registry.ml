@@ -200,3 +200,9 @@ let find_exn name =
   match find name with Some e -> e | None -> raise Not_found
 
 let names () = List.map (fun e -> e.name) all
+
+let max_scale = 65536.0
+
+let check_scale scale =
+  if Float.is_finite scale && scale > 0.0 && scale <= max_scale then Ok ()
+  else Error (Printf.sprintf "scale %g: expected a finite number in (0, %g]" scale max_scale)

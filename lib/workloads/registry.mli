@@ -34,3 +34,12 @@ val find_exn : string -> entry
 (** @raise Not_found for unknown names. *)
 
 val names : unit -> string list
+
+val check_scale : float -> (unit, string) result
+(** The one check of a requested scale, shared by the CLI and every
+    request the daemon serves: [Error] for a scale that is not finite,
+    not positive, or above 2^16 = 65536.  [Build_util.scaled] would
+    clamp any of them to a minimum-size kernel.  The bound keeps a wide
+    margin under overflow: the first kernel whose sizes leave an [int]
+    is vector-add at 2^38, and the lowering and the model take further
+    products of those sizes. *)

@@ -266,32 +266,74 @@ let test_every_response_validates () =
   let resp = run_line state {|{"id": 8, "op": "predict", "kernel": "nope"}|} in
   Alcotest.(check bool) "unknown kernel is an error" true (Result.is_error resp.Handler.result)
 
+(* feed the server its requests from a file (deterministic batching:
+   everything is readable at once) and collect response lines *)
+let run_server ?config:cfg ?state lines =
+  let state = match state with Some s -> s | None -> Handler.create () in
+  let req_path = Filename.temp_file "serve_req" ".jsonl" in
+  let out_path = Filename.temp_file "serve_out" ".jsonl" in
+  let oc = open_out req_path in
+  List.iter
+    (fun l ->
+      output_string oc l;
+      output_char oc '\n')
+    lines;
+  close_out oc;
+  let input = Unix.openfile req_path [ Unix.O_RDONLY ] 0 in
+  let output = open_out out_path in
+  let stats = Server.serve ?config:cfg state ~input ~output in
+  Unix.close input;
+  close_out output;
+  let responses = In_channel.with_open_bin out_path In_channel.input_all in
+  Sys.remove req_path;
+  Sys.remove out_path;
+  let lines = String.split_on_char '\n' responses in
+  (List.filter (fun l -> l <> "") lines, stats)
+
+let parse_resp line =
+  match Json.parse line with
+  | Ok j -> j
+  | Error msg -> Alcotest.failf "response is not JSON (%s): %s" msg line
+
+(* The daemon path is one warm [Server.serve] session over every line;
+   the one-shot CLI path is [Handler.run] on a fresh state per line.
+   They must agree bit-for-bit on the stable fields (the last line
+   repeats a kernel the session already tuned, so it reads the shared
+   memo), and the session must answer every line within 30 s, at no
+   less than one line per second. *)
 let test_daemon_equals_oneshot () =
-  let check_line line =
-    let daemon =
-      let state = Handler.create () in
-      match (run_line state line).Handler.result with
-      | Ok payload -> Handler.strip_volatile payload
-      | Error msg -> Alcotest.failf "daemon path failed: %s" msg
-    in
-    let oneshot =
-      let state = Handler.create () in
-      match (run_line state line).Handler.result with
-      | Ok payload -> Handler.strip_volatile payload
-      | Error msg -> Alcotest.failf "one-shot path failed: %s" msg
-    in
-    Alcotest.check json line daemon oneshot
-  in
-  (* two fresh states (daemon vs CLI one-shot are both Handler.run on a
-     fresh state) must agree bit-for-bit on the stable fields *)
-  List.iter check_line
+  let lines =
     [
       {|{"op": "predict", "kernel": "nbody", "backend": "sim", "seed": 11}|};
       {|{"op": "predict", "kernel": "kmeans", "backend": "hybrid"}|};
       {|{"op": "tune", "kernel": "kmeans", "backend": "sim", "strategy": "shortlist", "seed": 11}|};
       {|{"op": "tune", "kernel": "cfd", "scale": 0.25, "backend": "sim", "strategy": "adaptive", "rank": "surrogate", "seed": 11}|};
       {|{"op": "timeline", "kernel": "lud", "seed": 11, "faults": 2}|};
+      {|{"op": "predict", "kernel": "kmeans", "backend": "sim", "seed": 11}|};
     ]
+  in
+  let t0 = Unix.gettimeofday () in
+  let responses, _ = run_server lines in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "every line answered" (List.length lines) (List.length responses);
+  List.iter2
+    (fun line resp ->
+      let j = parse_resp resp in
+      let daemon =
+        match (Option.bind (Json.member "ok" j) Json.to_bool, Json.member "result" j) with
+        | Some true, Some payload -> Handler.strip_volatile payload
+        | _ -> Alcotest.failf "daemon path failed: %s" resp
+      in
+      let oneshot =
+        match (run_line (Handler.create ()) line).Handler.result with
+        | Ok payload -> Handler.strip_volatile payload
+        | Error msg -> Alcotest.failf "one-shot path failed: %s" msg
+      in
+      Alcotest.check json line oneshot daemon)
+    lines responses;
+  if elapsed > 30.0 then Alcotest.failf "the session took %.1f s: a line waited past 30 s" elapsed;
+  let per_s = float_of_int (List.length lines) /. elapsed in
+  if per_s < 1.0 then Alcotest.failf "the session answered %.2f lines/s < 1" per_s
 
 let test_shared_memo_across_requests () =
   let state = Handler.create () in
@@ -684,35 +726,6 @@ let with_temp_dir f =
       Unix.rmdir dir)
     (fun () -> f dir)
 
-(* feed the server its requests from a file (deterministic batching:
-   everything is readable at once) and collect response lines *)
-let run_server ?config:cfg ?state lines =
-  let state = match state with Some s -> s | None -> Handler.create () in
-  let req_path = Filename.temp_file "serve_req" ".jsonl" in
-  let out_path = Filename.temp_file "serve_out" ".jsonl" in
-  let oc = open_out req_path in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    lines;
-  close_out oc;
-  let input = Unix.openfile req_path [ Unix.O_RDONLY ] 0 in
-  let output = open_out out_path in
-  let stats = Server.serve ?config:cfg state ~input ~output in
-  Unix.close input;
-  close_out output;
-  let responses = In_channel.with_open_bin out_path In_channel.input_all in
-  Sys.remove req_path;
-  Sys.remove out_path;
-  let lines = String.split_on_char '\n' responses in
-  (List.filter (fun l -> l <> "") lines, stats)
-
-let parse_resp line =
-  match Json.parse line with
-  | Ok j -> j
-  | Error msg -> Alcotest.failf "response is not JSON (%s): %s" msg line
-
 let test_server_ordering_and_resilience () =
   let lines =
     [
@@ -741,6 +754,36 @@ let test_server_ordering_and_resilience () =
   Alcotest.(check (list (option bool))) "ok flags"
     [ Some true; Some false; Some true; Some false; Some true ]
     oks
+
+(* A scale that is not finite, not positive or too large is a typed
+   error on every verb that builds a kernel (a sharded tune included),
+   never a minimum-size kernel answered ok; the daemon keeps serving. *)
+let test_server_rejects_bad_scales () =
+  let bad =
+    [
+      {|{"op": "predict", "kernel": "vector-add", "scale": -1}|};
+      {|{"op": "predict", "kernel": "vector-add", "scale": 1e308, "grain": 4}|};
+      {|{"op": "predict", "kernel": "vector-add", "scale": 1e400}|};
+      {|{"op": "tune", "kernel": "vector-add", "scale": 0}|};
+      {|{"op": "tune", "kernel": "vector-add", "scale": -1, "workers": 2}|};
+      {|{"op": "timeline", "kernel": "vector-add", "scale": -0.5}|};
+    ]
+  in
+  let responses, stats = run_server (bad @ [ {|{"op": "ping"}|} ]) in
+  Alcotest.(check int) "every line answered" (List.length bad + 1) (List.length responses);
+  Alcotest.(check int) "one error per bad scale" (List.length bad) stats.Server.errors;
+  List.iteri
+    (fun i line ->
+      let j = parse_resp line in
+      let ok = Option.bind (Json.member "ok" j) Json.to_bool in
+      if i < List.length bad then begin
+        Alcotest.(check (option bool)) (List.nth bad i) (Some false) ok;
+        match Option.bind (Json.member "error" j) Json.to_str with
+        | Some msg when String.starts_with ~prefix:"scale " msg -> ()
+        | _ -> Alcotest.failf "not a scale error: %s" line
+      end
+      else Alcotest.(check (option bool)) "still serving" (Some true) ok)
+    responses
 
 let test_server_shed_watermark_exact () =
   let lines =
@@ -985,8 +1028,11 @@ let test_server_deadline_admission () =
      List.for_all contains
        [
          "serve_deadline_exceeded";
+         "serve_deadline_degraded";
          "serve_deadline_missed";
          "shard_restarts";
+         "shard_quarantined";
+         "link_lines_dropped";
          "memo_cutoff_hits";
          "timeline_hits";
          "timeline_misses";
@@ -1181,6 +1227,8 @@ let tests =
         test_concurrent_memo_journal_exact;
       Alcotest.test_case "server answers in order, survives bad input" `Quick
         test_server_ordering_and_resilience;
+      Alcotest.test_case "server rejects out-of-range scales" `Quick
+        test_server_rejects_bad_scales;
       Alcotest.test_case "server sheds exactly past the watermark" `Quick
         test_server_shed_watermark_exact;
       Alcotest.test_case "server shutdown; pool(4) bit-identical" `Quick

@@ -518,7 +518,7 @@ let same_summary (a : Tuner.summary) (b : Tuner.summary) =
 (* The worker-stats codec: what a worker sends round-trips exactly
    (floats bit-exact through the protocol line, the summary's cycles
    too, a robust score of infinity included), and a [Done] line that
-   carries only some keys reads the rest as 0 — but has no summary. *)
+   lacks the summary, or the bills, or a single field, does not decode. *)
 let test_worker_stats_codec () =
   let sent =
     {
@@ -546,32 +546,32 @@ let test_worker_stats_codec () =
     | _ -> Alcotest.fail "done line does not decode"
   in
   let through_pipe stats = Tuner.stats_of_json (raw stats) in
-  Alcotest.(check bool) "round trip" true
-    (through_pipe (Tuner.stats_to_json ~shard:2 sent summary) = sent);
   List.iter
     (fun (label, summary) ->
-      match Tuner.summary_of_json (raw (Tuner.stats_to_json ~shard:2 sent summary)) with
-      | Some back -> Alcotest.(check bool) label true (same_summary back summary)
-      | None -> Alcotest.failf "%s: summary does not decode" label)
+      match through_pipe (Tuner.stats_to_json ~shard:2 sent summary) with
+      | Some (bills, back) ->
+          Alcotest.(check bool) (label ^ ": bills") true (bills = sent);
+          Alcotest.(check bool) label true (same_summary back summary)
+      | None -> Alcotest.failf "%s: stats do not decode" label)
     [
       ("summary round trip", summary);
       ("infinite cycles", { summary with Tuner.best = Some (pt 8 4 false, Float.infinity) });
       ("empty shard", { Tuner.evaluated = 0; infeasible = 3; first = None; best = None });
     ];
-  let partial_stats = Json.Obj [ ("shard", Json.Int 0); ("cpu_s", Json.Float 1.5) ] in
-  Alcotest.(check bool) "no summary" true (Tuner.summary_of_json (raw partial_stats) = None);
-  let partial = through_pipe partial_stats in
-  Alcotest.(check bool) "missing fields read as 0" true
-    (partial
-    = {
-        sent with
-        Tuner.tuning_cpu_s = 1.5;
-        machine_time_us = 0.0;
-        rank_host_s = 0.0;
-        rank_machine_us = 0.0;
-        journal_hits = 0;
-        journal_misses = 0;
-      })
+  let fields = match Tuner.stats_to_json ~shard:2 sent summary with Json.Obj f -> f | _ -> [] in
+  let without keys = Json.Obj (List.filter (fun (k, _) -> not (List.mem k keys)) fields) in
+  Alcotest.(check bool) "no summary" true
+    (through_pipe (Json.Obj [ ("shard", Json.Int 0); ("cpu_s", Json.Float 1.5) ]) = None);
+  Alcotest.(check bool) "summary but no bills" true
+    (through_pipe
+       (without
+          [ "cpu_s"; "machine_us"; "rank_host_s"; "rank_machine_us"; "journal_hits"; "journal_misses" ])
+    = None);
+  List.iter
+    (fun (key, _) ->
+      if key <> "shard" then
+        Alcotest.(check bool) ("without " ^ key) true (through_pipe (without [ key ]) = None))
+    fields
 
 (* Sharded adaptive search lands on the in-process argmin: a worker that
    stops once the global incumbent outranks its rung still leaves the
@@ -699,20 +699,25 @@ let test_sharded_quarantine_partial () =
     (Space.size ~grains ~unrolls ~double_buffers ())
     (o.Tuner.evaluated + o.Tuner.infeasible + o.Tuner.points_pruned)
 
-(* A worker that completes without a summary (an older build, say) is a
-   typed failure, never a shard silently counted as empty. *)
+(* A worker that completes without a summary (an older build, say), or
+   with a summary but no bills, is a typed failure, never a shard
+   silently counted as empty or billed as free. *)
 let test_done_without_summary () =
-  let argv ~shard ~journal:_ =
-    [|
-      "/bin/sh";
-      "-c";
-      Printf.sprintf {|echo '{"ev": "done", "stats": {"shard": %d, "cpu_s": 0.0}}'|} shard;
-    |]
-  in
-  match tune_sharded_kmeans ~argv with
-  | _, _, Error (`Worker_failure _) -> ()
-  | _, _, Error (`No_feasible_point msg) -> Alcotest.failf "no summary read as: %s" msg
-  | _, _, Ok _ -> Alcotest.fail "a done line without a summary was accepted"
+  let summary = {|"evaluated": 1, "infeasible": 0, "first": null, "best": null|} in
+  List.iter
+    (fun (label, stats) ->
+      let argv ~shard ~journal:_ =
+        [|
+          "/bin/sh";
+          "-c";
+          Printf.sprintf {|echo '{"ev": "done", "stats": {"shard": %d, %s}}'|} shard stats;
+        |]
+      in
+      match tune_sharded_kmeans ~argv with
+      | _, _, Error (`Worker_failure _) -> ()
+      | _, _, Error (`No_feasible_point msg) -> Alcotest.failf "%s read as: %s" label msg
+      | _, _, Ok _ -> Alcotest.failf "a done line with %s was accepted" label)
+    [ ("no summary", {|"cpu_s": 0.0|}); ("a summary but no bills", summary) ]
 
 let tests =
   ( "shard",

@@ -81,6 +81,43 @@ let test_scale_changes_size () =
   Alcotest.(check int) "half the points" (big.Sw_swacc.Kernel.n_elements / 2)
     small.Sw_swacc.Kernel.n_elements
 
+(* The accepted scales are the ones every kernel is priced at without
+   overflow: at the largest one each kernel is larger than at scale 1,
+   its arrays sit at distinct non-negative addresses, and the model
+   prices a regular kernel's default variant slower than at scale 1. *)
+let test_check_scale () =
+  let max_scale = 65536.0 in
+  let accepted s = Result.is_ok (Registry.check_scale s) in
+  List.iter
+    (fun s -> Alcotest.(check bool) (Printf.sprintf "rejects %g" s) false (accepted s))
+    [ 0.0; -0.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity; 1e308; 2.0 *. max_scale ];
+  List.iter
+    (fun s -> Alcotest.(check bool) (Printf.sprintf "accepts %g" s) true (accepted s))
+    [ 1e-3; 1.0; max_scale ];
+  List.iter
+    (fun (e : Registry.entry) ->
+      let build scale = e.Registry.build ~scale in
+      let small = build 1.0 and big = build max_scale in
+      Alcotest.(check bool) (e.Registry.name ^ ": grows") true
+        (big.Sw_swacc.Kernel.n_elements > small.Sw_swacc.Kernel.n_elements);
+      let addrs = List.map (fun c -> c.Sw_swacc.Kernel.base_addr) big.Sw_swacc.Kernel.copies in
+      Alcotest.(check bool) (e.Registry.name ^ ": distinct non-negative addresses") true
+        (List.length (List.sort_uniq compare addrs) = List.length addrs
+        && List.for_all (fun a -> a >= 0) addrs);
+      let cycles kernel =
+        match Sw_swacc.Lower.summarize p kernel e.Registry.variant with
+        | Ok s -> (Swpm.Predict.run p s).Swpm.Predict.t_total
+        | Error msg -> Alcotest.failf "%s: %s" e.Registry.name msg
+      in
+      (* irregular kernels summarize their Gloads per element: seconds
+         at this scale, so only the regular ones are priced here *)
+      if e.Registry.kind = Registry.Regular then begin
+        let c_big = cycles big in
+        Alcotest.(check bool) (e.Registry.name ^ ": priced slower") true
+          (Float.is_finite c_big && c_big > cycles small)
+      end)
+    Registry.all
+
 let test_builds_deterministic () =
   let a = Bfs.kernel ~scale:0.5 and b = Bfs.kernel ~scale:0.5 in
   (* gload traces must match exactly across builds *)
@@ -135,6 +172,7 @@ let tests =
         Alcotest.test_case "regular kernels avoid gloads" `Quick test_regular_kernels_no_gloads;
         Alcotest.test_case "bfs degrees imbalanced" `Quick test_bfs_imbalanced_degrees;
         Alcotest.test_case "scale changes size" `Quick test_scale_changes_size;
+        Alcotest.test_case "accepted scales price without overflow" `Quick test_check_scale;
         Alcotest.test_case "builds deterministic" `Quick test_builds_deterministic;
         Alcotest.test_case "wrf dynamics slice waste" `Quick test_wrf_dynamics_slice_waste;
         Alcotest.test_case "wrf dynamics rejects non-divisor" `Quick test_wrf_dynamics_rejects_nondivisor;
